@@ -239,36 +239,51 @@ let build_cmd =
     Arg.(value & opt int 1024 & info [ "nodes" ] ~docv:"N" ~doc:"Overlay size.")
   in
   let run verbose variant latency seed scale strategy size probe_window domains =
-    setup_logs verbose;
-    let oracle = Workload.Ctx.oracle ~scale variant latency in
-    let b =
-      Builder.build oracle
-        {
-          Builder.default_config with
-          Builder.overlay_size = size / scale;
-          strategy;
-          probe = { Engine.Probe.default_config with Engine.Probe.window = probe_window };
-          domains;
-          seed;
-        }
-    in
-    let r = Measure.route_stretch b in
-    Format.fprintf ppf "overlay: %d nodes, strategy %s@." (size / scale)
-      (Strategy.to_string strategy);
-    Format.fprintf ppf "stretch: %a@." Prelude.Stats.pp_summary r.Measure.stretch;
-    Format.fprintf ppf "hops:    %a@." Prelude.Stats.pp_summary r.Measure.hops;
-    Format.fprintf ppf "neighbor quality: %a@." Prelude.Stats.pp_summary
-      (Measure.neighbor_quality b);
-    Format.fprintf ppf "probe plane: %d probes, %.0f ms modelled wall-clock at window %d@."
-      (Engine.Probe.probes b.Builder.prober)
-      (Engine.Probe.total_elapsed b.Builder.prober)
-      probe_window
+    if size < 1 then `Error (false, "--nodes must be >= 1")
+    else if size / scale < 1 then
+      `Error (false, Printf.sprintf "--nodes %d / --scale %d leaves an empty overlay" size scale)
+    else if probe_window < 1 then `Error (false, "--probe-window must be >= 1")
+    else begin
+      setup_logs verbose;
+      let oracle = Workload.Ctx.oracle ~scale variant latency in
+      let nodes = Topology.Oracle.node_count oracle in
+      if size / scale > nodes then
+        `Error
+          (false,
+           Printf.sprintf "--nodes %d / --scale %d exceeds the %d-node topology" size scale nodes)
+      else begin
+        let b =
+          Builder.build oracle
+            {
+              Builder.default_config with
+              Builder.overlay_size = size / scale;
+              strategy;
+              probe = { Engine.Probe.default_config with Engine.Probe.window = probe_window };
+              domains;
+              seed;
+            }
+        in
+        let r = Measure.route_stretch b in
+        Format.fprintf ppf "overlay: %d nodes, strategy %s@." (size / scale)
+          (Strategy.to_string strategy);
+        Format.fprintf ppf "stretch: %a@." Prelude.Stats.pp_summary r.Measure.stretch;
+        Format.fprintf ppf "hops:    %a@." Prelude.Stats.pp_summary r.Measure.hops;
+        Format.fprintf ppf "neighbor quality: %a@." Prelude.Stats.pp_summary
+          (Measure.neighbor_quality b);
+        Format.fprintf ppf "probe plane: %d probes, %.0f ms modelled wall-clock at window %d@."
+          (Engine.Probe.probes b.Builder.prober)
+          (Engine.Probe.total_elapsed b.Builder.prober)
+          probe_window;
+        `Ok ()
+      end
+    end
   in
   Cmd.v
     (Cmd.info "build" ~doc:"Build a topology-aware overlay and measure routing stretch")
     Term.(
-      const run $ verbose_arg $ variant_arg $ latency_arg $ seed_arg $ scale_arg $ strategy_arg
-      $ size_arg $ probe_window_arg $ domains_arg)
+      ret
+        (const run $ verbose_arg $ variant_arg $ latency_arg $ seed_arg $ scale_arg
+       $ strategy_arg $ size_arg $ probe_window_arg $ domains_arg))
 
 (* ---- churn ---- *)
 

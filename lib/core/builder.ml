@@ -100,12 +100,9 @@ let lookup_probe_selector t ~rtts ~lookup_results ~lookup_ttl ~score : Ecan_exp.
 let selector t strategy : Ecan_exp.selector =
   match strategy with
   | Strategy.Random_pick ->
-    fun ~node:_ ~region:_ ~candidates -> Some (Rng.pick t.rng candidates)
+    fun ~node ~region:_ ~candidates -> Strategy.random_pick t.rng ~node ~candidates
   | Strategy.Optimal ->
-    fun ~node ~region:_ ~candidates ->
-      (match Oracle.nearest t.oracle node candidates with
-      | Some (best, _) -> Some best
-      | None -> None)
+    fun ~node ~region:_ ~candidates -> Strategy.optimal_pick t.oracle ~node ~candidates
   | Strategy.Hybrid { rtts; lookup_results; lookup_ttl } ->
     lookup_probe_selector t ~rtts ~lookup_results ~lookup_ttl ~score:(fun ~rtt ~entry:_ -> rtt)
   | Strategy.Load_aware { rtts; lookup_results; lookup_ttl; load_weight } ->

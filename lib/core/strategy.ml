@@ -21,3 +21,30 @@ let to_string = function
   | Load_aware { rtts; load_weight; _ } ->
     Printf.sprintf "load-aware(rtts=%d,w=%.2f)" rtts load_weight
   | Optimal -> "optimal"
+
+type pick = node:int -> candidates:int array -> int option
+
+let random_pick rng ~node:_ ~candidates = Some (Prelude.Rng.pick rng candidates)
+
+let optimal_pick oracle ~node ~candidates =
+  Option.map fst (Topology.Oracle.nearest oracle node candidates)
+
+let probe_best ~measure ~node candidates =
+  let rec go best = function
+    | [] -> Option.map snd best
+    | c :: rest ->
+      let d = measure node c in
+      go (match best with Some (bd, _) when bd <= d -> best | _ -> Some (d, c)) rest
+  in
+  go None candidates
+
+let hybrid_pick ~measure ~vector_of ~rtts ~node ~candidates =
+  let qvec = vector_of node in
+  candidates
+  |> Array.to_list
+  |> List.filter (fun c -> c <> node)
+  |> List.map (fun c -> (Landmark.Landmarks.vector_dist qvec (vector_of c), c))
+  |> List.sort compare
+  |> List.filteri (fun i _ -> i < rtts)
+  |> List.map snd
+  |> probe_best ~measure ~node

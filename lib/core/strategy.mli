@@ -30,3 +30,32 @@ val load_aware :
 (** [Load_aware] with the same lookup defaults and [load_weight = 1.0]. *)
 
 val to_string : t -> string
+
+(** {1 Selection policies for the ring-like overlays}
+
+    Chord fingers, Pastry table slots and Koorde preferred entries are
+    filled by a {!pick} per slot.  The vector-then-probe loop behind the
+    paper's hybrid lives here, once. *)
+
+type pick = node:int -> candidates:int array -> int option
+(** Choose [node]'s entry for one table slot among [candidates]. *)
+
+val random_pick : Prelude.Rng.t -> pick
+(** Uniform choice, one [Rng.pick] draw per slot (the baseline).
+    [candidates] must be non-empty, as every overlay's selector hook
+    guarantees. *)
+
+val optimal_pick : Topology.Oracle.t -> pick
+(** The physically closest candidate other than [node] (ties to the lower
+    id), by the distance oracle: the infinitely-many-RTTs bound. *)
+
+val probe_best : measure:(int -> int -> float) -> node:int -> int list -> int option
+(** Measure the RTT from [node] to each candidate, in list order, and
+    return the closest; on equal RTTs the earlier candidate wins.  [None]
+    on an empty list. *)
+
+val hybrid_pick :
+  measure:(int -> int -> float) -> vector_of:(int -> float array) -> rtts:int -> pick
+(** The paper's hybrid: rank the candidates other than [node] by
+    [(landmark-vector distance to node, id)], then {!probe_best} over the
+    first [rtts] of them.  Wrap [measure] to count probes. *)

@@ -1,54 +1,8 @@
-(** Soft-state coordinate map on the Koorde ring.
-
-    Identical scheme to the Chord softmap (the de Bruijn overlay keeps a
-    Chord identifier ring underneath, so the appendix construction
-    carries over verbatim): every member publishes one entry under the
-    ring key derived from its landmark number, physically-close nodes
-    land on the same or succeeding hosts, and a lookup walks the
-    successor chain from the querying node's own landmark key.  The
-    [in_arc] filter restricts results to owners inside a de Bruijn image
-    arc, which is how proximity selection shops among a node's ~k cover
+(** The {!Chord.Ring_softmap} construction on the Koorde ring: the de
+    Bruijn overlay keeps a Chord identifier ring underneath, so the
+    appendix placement carries over verbatim.  The [in_arc] filter of
+    {!lookup} restricts results to owners inside a de Bruijn image arc,
+    which is how proximity selection shops among a node's ~k cover
     candidates. *)
 
-type entry = {
-  node : int;
-  vector : float array;
-  number : int;
-  store_key : int;  (** ring position the entry is stored under *)
-}
-
-type t
-
-val create : scheme:Landmark.Number.scheme -> Debruijn.t -> t
-
-val overlay : t -> Debruijn.t
-
-val store_key_of : t -> float array -> int
-(** Ring key a vector's entry is stored under (landmark number scaled to
-    the ring size). *)
-
-val publish : t -> node:int -> vector:float array -> unit
-(** Insert or refresh the entry describing [node].  Raises
-    [Invalid_argument] if the overlay is empty. *)
-
-val unpublish : t -> int -> unit
-
-val rehome : t -> unit
-(** Recompute entry->host assignment after membership changed. *)
-
-val entries_at : t -> int -> entry list
-(** Entries hosted by a member. *)
-
-val lookup :
-  t ->
-  vector:float array ->
-  ?in_arc:int * int ->
-  ?max_results:int ->
-  ?ttl:int ->
-  unit ->
-  entry list
-(** Route to the host of [vector]'s landmark key and walk up to [ttl]
-    (default 32) successor hosts, collecting entries — optionally only
-    those whose {e owner's} ring key lies in [in_arc = (lo, span)] (the
-    image-arc constraint).  Results sorted by landmark-vector distance,
-    truncated to [max_results] (default 16). *)
+include Chord.Ring_softmap.S with type overlay = Debruijn.t

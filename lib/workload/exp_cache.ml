@@ -32,10 +32,6 @@ module Probe = Engine.Probe
 module Metrics = Engine.Metrics
 module Can_overlay = Can.Overlay
 module Ecan_exp = Ecan.Expressway
-module Ring = Chord.Ring
-module Mesh = Pastry.Mesh
-module Dbj = Koorde.Debruijn
-module Landmarks = Landmark.Landmarks
 module Zone = Geometry.Zone
 module Point = Geometry.Point
 module Stats = Prelude.Stats
@@ -136,28 +132,6 @@ let can_backend ~name b =
   let can = Ecan_exp.can b.Builder.ecan in
   builder_backend ~name ~route:(fun ~src p -> Can_overlay.route can ~src p) b
 
-(* Chord / Pastry get the same member population and the same
-   vector-then-probe neighbor selection the xover experiment uses; with
-   no soft-state plane of their own, replica placement is the physically
-   nearest member (the service-level optimum a map lookup approximates). *)
-let hybrid_pick oracle vector_of ~rtts ~node ~candidates =
-  let qvec = vector_of node in
-  let ranked =
-    candidates
-    |> Array.to_list
-    |> List.filter (fun c -> c <> node)
-    |> List.map (fun c -> (Landmarks.vector_dist qvec (vector_of c), c))
-    |> List.sort compare
-    |> List.map snd
-  in
-  let rec go best = function
-    | [] -> Option.map snd best
-    | c :: rest ->
-      let d = Oracle.measure oracle node c in
-      go (match best with Some (bd, _) when bd <= d -> best | _ -> Some (d, c)) rest
-  in
-  go None (List.filteri (fun i _ -> i < rtts) ranked)
-
 let oracle_near oracle members ~node ~exclude =
   Array.fold_left
     (fun best c ->
@@ -168,52 +142,22 @@ let oracle_near oracle members ~node ~exclude =
     None members
   |> Option.map snd
 
-let chord_backend ~seed oracle b =
-  let ring = Ring.create () in
-  let rng = Rng.create ((seed * 6007) + 1) in
-  Array.iter (fun id -> Ring.add_node ring ~rng id) b.Builder.members;
-  Ring.build_fingers ring ~selector:(fun ~node ~arc:_ ~candidates ->
-      hybrid_pick oracle (Builder.vector_of b) ~rtts:5 ~node ~candidates);
+(* Chord / Pastry / Koorde get the same member population and the same
+   vector-then-probe neighbor selection the xover experiment uses (for
+   Koorde over image-arc cover sets of only ~k candidates per node); with
+   no soft-state plane of their own, replica placement is the physically
+   nearest member (the service-level optimum a map lookup approximates).
+   [salt] keeps each overlay's historical id seed. *)
+let ring_backend ~salt make ~seed oracle b =
+  let be : Backend.t = make (Rng.create ((seed * 6007) + salt)) in
+  Array.iter be.add b.Builder.members;
+  let vector_of = Builder.vector_of b in
+  be.rebuild ~pick:(Strategy.hybrid_pick ~measure:(Oracle.measure oracle) ~vector_of ~rtts:5);
   {
-    Cache.name = "chord";
-    member = (fun node -> Ring.mem ring node);
-    home_of = (fun key -> Ring.successor_node ring (mix62 key land ((1 lsl Ring.key_bits ring) - 1)));
-    route_to = (fun ~src ~dst -> Ring.route ring ~src ~key:(Ring.key_of ring dst));
-    near = oracle_near oracle b.Builder.members;
-    publish_load = (fun ~node:_ ~load:_ -> ());
-  }
-
-let pastry_backend ~seed oracle b =
-  let mesh = Mesh.create () in
-  let rng = Rng.create ((seed * 6007) + 2) in
-  Array.iter (fun id -> Mesh.add_node mesh ~rng id) b.Builder.members;
-  Mesh.build_tables mesh ~selector:(fun ~node ~prefix:_ ~candidates ->
-      hybrid_pick oracle (Builder.vector_of b) ~rtts:5 ~node ~candidates);
-  let space = 1 lsl (Mesh.digit_bits mesh * Mesh.num_digits mesh) in
-  {
-    Cache.name = "pastry";
-    member = (fun node -> Mesh.mem mesh node);
-    home_of = (fun key -> Mesh.owner_of mesh (mix62 key mod space));
-    route_to = (fun ~src ~dst -> Mesh.route mesh ~src ~key:(Mesh.pastry_id mesh dst));
-    near = oracle_near oracle b.Builder.members;
-    publish_load = (fun ~node:_ ~load:_ -> ());
-  }
-
-(* Koorde joins the service comparison as the constant-degree row: the
-   same hybrid vector-then-probe selection, but applied to image-arc
-   cover sets of only ~k candidates per node. *)
-let koorde_backend ~seed oracle b =
-  let dbj = Dbj.create ~degree:4 () in
-  let rng = Rng.create ((seed * 6007) + 3) in
-  Array.iter (fun id -> Dbj.add_node dbj ~rng id) b.Builder.members;
-  Dbj.build_fingers dbj ~selector:(fun ~node ~arc:_ ~candidates ->
-      hybrid_pick oracle (Builder.vector_of b) ~rtts:5 ~node ~candidates);
-  {
-    Cache.name = "koorde";
-    member = (fun node -> Dbj.mem dbj node);
-    home_of =
-      (fun key -> Dbj.successor_node dbj (mix62 key land ((1 lsl Dbj.key_bits dbj) - 1)));
-    route_to = (fun ~src ~dst -> Dbj.route dbj ~src ~key:(Dbj.key_of dbj dst));
+    Cache.name = be.name;
+    member = be.mem;
+    home_of = (fun key -> be.owner (mix62 key mod be.key_space));
+    route_to = (fun ~src ~dst -> be.route ~src ~key:(be.key_of dst));
     near = oracle_near oracle b.Builder.members;
     publish_load = (fun ~node:_ ~load:_ -> ());
   }
@@ -331,9 +275,10 @@ let data ?(scale = 1) ?(seed = 42) ?(zipf_s = 0.9) ?clients ?(replicas = 3) ?met
     go ~label:"ecan aware r1" ~replicas:1 (ecan_backend ~name:"ecan aware r1" b)
   in
   let can_row = go ~label:"can greedy" ~replicas (can_backend ~name:"can greedy" b) in
-  let chord_row = go ~label:"chord" ~replicas (chord_backend ~seed oracle b) in
-  let pastry_row = go ~label:"pastry" ~replicas (pastry_backend ~seed oracle b) in
-  let koorde_row = go ~label:"koorde" ~replicas (koorde_backend ~seed oracle b) in
+  let ring ~salt make = ring_backend ~salt make ~seed oracle b in
+  let chord_row = go ~label:"chord" ~replicas (ring ~salt:1 Backend.chord) in
+  let pastry_row = go ~label:"pastry" ~replicas (ring ~salt:2 Backend.pastry) in
+  let koorde_row = go ~label:"koorde" ~replicas (ring ~salt:3 (Backend.koorde ?degree:None)) in
   (* Same membership, same homes, same schedule — only the expressway
      tables change, so the latency delta is pure neighbor selection. *)
   Builder.rebuild_tables b Strategy.Random_pick;

@@ -41,23 +41,12 @@ val ecan_convergence : ?tolerance:float -> Core.Builder.t -> (unit, string) resu
     be unfilled where the rebuild fills them, or be filled where the
     rebuild cannot. *)
 
-val chord_convergence : ?samples:int -> seed:int -> Chord.Ring.t -> (unit, string) result
-(** Convergence oracle for Chord: structural invariants hold, every arc
-    that has members other than the owner carries a finger (matching what
-    a clean [build_fingers] would produce), and [samples] (default 64)
-    seeded random routes all terminate at the key's successor. *)
-
-val pastry_convergence : ?samples:int -> seed:int -> Pastry.Mesh.t -> (unit, string) result
-(** Convergence oracle for Pastry: structural invariants hold, every
-    routing slot whose prefix region is inhabited is filled, and seeded
+val convergence : ?samples:int -> seed:int -> Backend.t -> (unit, string) result
+(** Convergence oracle for Chord, Pastry and Koorde: the overlay's
+    structural invariants hold, its tables are complete
+    ({!Backend.t.tables_complete}: what a clean rebuild from the current
+    membership would fill is filled), and [samples] (default 64) seeded
     random routes all terminate at the key's owner. *)
-
-val koorde_convergence :
-  ?samples:int -> seed:int -> Koorde.Debruijn.t -> (unit, string) result
-(** Convergence oracle for Koorde: structural invariants hold, every
-    member's cover list matches a clean rebuild from the current
-    membership (arc charge plus image-arc members), and seeded random
-    routes all terminate at the key's successor. *)
 
 val ecan_outcomes :
   ?size:int ->
@@ -93,36 +82,27 @@ val ecan_outcomes :
     neighbor-selection strategy — the degree experiment sweeps RTT
     budgets through it. *)
 
-val chord_outcome :
-  ?size:int ->
-  ?seed:int ->
-  ?storm:Engine.Faults.storm ->
-  ?pick:(node:int -> candidates:int array -> int option) ->
-  Topology.Oracle.t ->
-  outcome
-(** Chord under the same storm, repaired by periodic stabilisation (full
-    finger rebuild with landmark+RTT hybrid selection; [pick] overrides
-    the selection policy). *)
+val landmark_vectors : Topology.Oracle.t -> seed:int -> int -> float array
+(** The landmark vectors the Chord / Pastry / Koorde drivers select with
+    (15 landmarks drawn from [seed]), measured on first use and
+    memoized per returned function. *)
 
-val pastry_outcome :
+type ring_driver =
   ?size:int ->
   ?seed:int ->
   ?storm:Engine.Faults.storm ->
-  ?pick:(node:int -> candidates:int array -> int option) ->
+  ?pick:Core.Strategy.pick ->
   Topology.Oracle.t ->
   outcome
-(** Pastry under the same storm, repaired by periodic table rebuild. *)
+(** Chord, Pastry or Koorde (through {!Backend}) under the same storm,
+    repaired by periodic stabilisation: a full table rebuild with
+    landmark+RTT hybrid selection (rtts = 5) that [pick] overrides. *)
 
-val koorde_outcome :
-  ?size:int ->
-  ?seed:int ->
-  ?storm:Engine.Faults.storm ->
-  ?degree:int ->
-  ?pick:(node:int -> candidates:int array -> int option) ->
-  Topology.Oracle.t ->
-  outcome
-(** Koorde under the same storm, repaired by periodic cover rebuild.
-    [degree] (default 4) is the de Bruijn fanout k. *)
+val chord_outcome : ring_driver
+val pastry_outcome : ring_driver
+
+val koorde_outcome : ?degree:int -> ring_driver
+(** [degree] (default 4) is the de Bruijn fanout k. *)
 
 val run : ?scale:int -> ?seed:int -> Format.formatter -> unit
 (** The registry entry: default storm and channel, tsk-large/manual

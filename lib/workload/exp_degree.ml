@@ -31,7 +31,6 @@ module Strategy = Core.Strategy
 module Measure = Core.Measure
 module Metrics = Engine.Metrics
 module Faults = Engine.Faults
-module Landmarks = Landmark.Landmarks
 module Rng = Prelude.Rng
 
 let ks = [ 2; 4; 8; 16 ]
@@ -49,65 +48,37 @@ type row = {
   converged : bool;
 }
 
-(* Landmark vectors shared by the ring-like rows: same landmark choice
-   as [Exp_churn.ring_like_outcome] (seed * 2003 + 2), so the rtts = k
-   policy injected below agrees with the churn driver's own hybrid. *)
-let vector_cache oracle ~seed =
-  let lms = Landmarks.choose (Rng.create ((seed * 2003) + 2)) oracle 15 in
-  let tbl = Hashtbl.create 512 in
-  fun node ->
-    match Hashtbl.find_opt tbl node with
-    | Some v -> v
-    | None ->
-      let v = Landmarks.vector lms node in
-      Hashtbl.replace tbl node v;
-      v
-
-(* The xover/cache experiments' vector-then-probe selection, with the
-   probe budget as a parameter and every RTT measurement counted. *)
-let counted_hybrid oracle vector_of ~rtts probes ~node ~candidates =
-  let qvec = vector_of node in
-  let ranked =
-    candidates
-    |> Array.to_list
-    |> List.filter (fun c -> c <> node)
-    |> List.map (fun c -> (Landmarks.vector_dist qvec (vector_of c), c))
-    |> List.sort compare
-    |> List.map snd
-  in
-  let rec go best = function
-    | [] -> Option.map snd best
-    | c :: rest ->
-      incr probes;
-      let d = Oracle.measure oracle node c in
-      go (match best with Some (bd, _) when bd <= d -> best | _ -> Some (d, c)) rest
-  in
-  go None (List.filteri (fun i _ -> i < rtts) ranked)
-
-let random_pick rng ~node:_ ~candidates =
-  if Array.length candidates = 0 then None else Some (Rng.pick rng candidates)
+(* A table cell from the budget-k run's churn outcome. *)
+let row_of ~backend ~k ~random ~probes (o : Exp_churn.outcome) =
+  {
+    backend;
+    k;
+    aware = o.stretch_before;
+    random;
+    probes;
+    repair_ms = o.repair_ms;
+    work = o.repair_work;
+    converged = o.converged;
+  }
 
 (* One ring-like cell: run the churn driver twice on identical storms —
-   once with the counted budget-k hybrid (stretch, probes, repair), once
-   with random selection (its pre-storm stretch is the control). *)
-let ring_like_row ~name ~k ~seed outcome_of oracle =
-  let vector_of = vector_cache oracle ~seed in
+   once with the shared hybrid under budget k, every RTT measurement
+   counted (stretch, probes, repair), once with random selection (its
+   pre-storm stretch is the control).  The hybrid ranks by the churn
+   driver's own landmark vectors. *)
+let ring_like_row ~name ~k ~seed ~size ~storm (drive : Exp_churn.ring_driver) oracle =
+  let vector_of = Exp_churn.landmark_vectors oracle ~seed in
   let probes = ref 0 in
+  let measure a b =
+    incr probes;
+    Oracle.measure oracle a b
+  in
   let aware_o =
-    outcome_of ~pick:(counted_hybrid oracle vector_of ~rtts:k probes)
+    drive ~size ~seed ~storm ~pick:(Strategy.hybrid_pick ~measure ~vector_of ~rtts:k) oracle
   in
   let rng = Rng.create ((seed * 31) + k) in
-  let random_o = outcome_of ~pick:(random_pick rng) in
-  {
-    backend = name;
-    k;
-    aware = aware_o.Exp_churn.stretch_before;
-    random = random_o.Exp_churn.stretch_before;
-    probes = !probes;
-    repair_ms = aware_o.Exp_churn.repair_ms;
-    work = aware_o.Exp_churn.repair_work;
-    converged = aware_o.Exp_churn.converged;
-  }
+  let random_o = drive ~size ~seed ~storm ~pick:(Strategy.random_pick rng) oracle in
+  row_of ~backend:name ~k ~random:random_o.Exp_churn.stretch_before ~probes:!probes aware_o
 
 let data ?(scale = 1) ?(seed = 11) () =
   let oracle = Ctx.oracle ~scale Ctx.Tsk_large Topology.Transit_stub.Manual in
@@ -138,49 +109,17 @@ let data ?(scale = 1) ?(seed = 11) () =
         Exp_churn.ecan_outcomes ~size ~seed ~storm ~labels
           ~strategy:(Strategy.hybrid ~rtts:k ()) oracle
       in
-      let ecan_row =
-        {
-          backend = "ecan";
-          k;
-          aware = ecan_o.Exp_churn.stretch_before;
-          random = ecan_random;
-          probes = -1;
-          repair_ms = ecan_o.Exp_churn.repair_ms;
-          work = ecan_o.Exp_churn.repair_work;
-          converged = ecan_o.Exp_churn.converged;
-        }
-      in
+      let ecan_row = row_of ~backend:"ecan" ~k ~random:ecan_random ~probes:(-1) ecan_o in
+      (* zero-flexibility control: no selection, aware = random *)
       let can_row =
-        (* zero-flexibility control: no selection, aware = random *)
-        {
-          backend = "can";
-          k;
-          aware = can_o.Exp_churn.stretch_before;
-          random = can_o.Exp_churn.stretch_before;
-          probes = -1;
-          repair_ms = can_o.Exp_churn.repair_ms;
-          work = can_o.Exp_churn.repair_work;
-          converged = can_o.Exp_churn.converged;
-        }
+        row_of ~backend:"can" ~k ~random:can_o.Exp_churn.stretch_before ~probes:(-1) can_o
       in
-      let chord_row =
-        ring_like_row ~name:"chord" ~k ~seed
-          (fun ~pick -> Exp_churn.chord_outcome ~size ~seed ~storm ~pick oracle)
-          oracle
-      in
-      let pastry_row =
-        ring_like_row ~name:"pastry" ~k ~seed
-          (fun ~pick -> Exp_churn.pastry_outcome ~size ~seed ~storm ~pick oracle)
-          oracle
-      in
-      let koorde_row =
-        (* k is both the probe budget and the de Bruijn fanout: the
-           candidate set and the budget shrink together. *)
-        ring_like_row ~name:"koorde" ~k ~seed
-          (fun ~pick ->
-            Exp_churn.koorde_outcome ~size ~seed ~storm ~degree:k ~pick oracle)
-          oracle
-      in
+      let ring name drive = ring_like_row ~name ~k ~seed ~size ~storm drive oracle in
+      let chord_row = ring "chord" Exp_churn.chord_outcome in
+      let pastry_row = ring "pastry" Exp_churn.pastry_outcome in
+      (* k is both the probe budget and the de Bruijn fanout: the
+         candidate set and the budget shrink together. *)
+      let koorde_row = ring "koorde" (Exp_churn.koorde_outcome ~degree:k) in
       [ ecan_row; can_row; chord_row; pastry_row; koorde_row ])
     ks
 

@@ -35,10 +35,7 @@ module Store = Softstate.Store
 module Bus = Pubsub.Bus
 module Can_overlay = Can.Overlay
 module Ecan_exp = Ecan.Expressway
-module Ring = Chord.Ring
-module Mesh = Pastry.Mesh
-module Dbj = Koorde.Debruijn
-module Landmarks = Landmark.Landmarks
+module Strategy = Core.Strategy
 module Zone = Geometry.Zone
 module Stats = Prelude.Stats
 module Rng = Prelude.Rng
@@ -196,28 +193,6 @@ let can_arm ~name b =
   let can = Ecan_exp.can b.Builder.ecan in
   builder_arm ~name ~route:(fun ~src p -> Can_overlay.route can ~src p) b
 
-(* Chord / Pastry: same member population, the xover/cache experiments'
-   vector-then-probe neighbor selection for their tables; with no
-   soft-state plane of their own, relay proposals are the physically
-   nearest members — the optimum a map lookup approximates. *)
-let hybrid_pick oracle vector_of ~rtts ~node ~candidates =
-  let qvec = vector_of node in
-  let ranked =
-    candidates
-    |> Array.to_list
-    |> List.filter (fun c -> c <> node)
-    |> List.map (fun c -> (Landmarks.vector_dist qvec (vector_of c), c))
-    |> List.sort compare
-    |> List.map snd
-  in
-  let rec go best = function
-    | [] -> Option.map snd best
-    | c :: rest ->
-      let d = Oracle.measure oracle node c in
-      go (match best with Some (bd, _) when bd <= d -> best | _ -> Some (d, c)) rest
-  in
-  go None (List.filteri (fun i _ -> i < rtts) ranked)
-
 let oracle_candidates oracle ids ~node ~exclude =
   Array.to_list (ids ())
   |> List.filter (fun c -> c <> node && not (List.mem c exclude))
@@ -226,97 +201,37 @@ let oracle_candidates oracle ids ~node ~exclude =
   |> List.filteri (fun i _ -> i < 12)
   |> List.map snd
 
-let chord_arm ~seed oracle b =
-  let ring = Ring.create () in
-  let rng = Rng.create ((seed * 6007) + 1) in
-  Array.iter (fun id -> Ring.add_node ring ~rng id) b.Builder.members;
-  let selector ~node ~arc:_ ~candidates =
-    hybrid_pick oracle (Builder.vector_of b) ~rtts:5 ~node ~candidates
-  in
-  Ring.build_fingers ring ~selector;
+(* Chord / Pastry / Koorde: same member population, the xover/cache
+   experiments' vector-then-probe neighbor selection for their tables
+   (for Koorde over the ~k-wide image-arc cover sets); they keep their
+   own structure, so churn events rebuild the tables.  With no
+   soft-state plane of their own, relay proposals are the physically
+   nearest members — the optimum a map lookup approximates.  [salt]
+   keeps each overlay's historical id seed. *)
+let ring_arm ~salt make ~seed oracle b =
+  let be : Backend.t = make (Rng.create ((seed * 6007) + salt)) in
+  Array.iter be.add b.Builder.members;
+  let vector_of = Builder.vector_of b in
+  let pick = Strategy.hybrid_pick ~measure:(Oracle.measure oracle) ~vector_of ~rtts:5 in
+  be.rebuild ~pick;
   {
     backend =
       {
-        Mcast.name = "chord";
-        member = (fun node -> Ring.mem ring node);
+        Mcast.name = be.name;
+        member = be.mem;
         route_to =
-          (fun ~src ~dst ->
-            if not (Ring.mem ring dst) then None
-            else Ring.route ring ~src ~key:(Ring.key_of ring dst));
-        candidates = oracle_candidates oracle (fun () -> Ring.node_ids ring);
+          (fun ~src ~dst -> if not (be.mem dst) then None else be.route ~src ~key:(be.key_of dst));
+        candidates = oracle_candidates oracle be.node_ids;
         publish_load = (fun ~node:_ ~load:_ -> ());
       };
     on_remove =
       (fun v ->
-        Ring.remove_node ring v;
-        Ring.build_fingers ring ~selector);
+        be.remove v;
+        be.rebuild ~pick);
     on_join =
       (fun n ->
-        Ring.add_node ring ~rng n;
-        Ring.build_fingers ring ~selector);
-  }
-
-let pastry_arm ~seed oracle b =
-  let mesh = Mesh.create () in
-  let rng = Rng.create ((seed * 6007) + 2) in
-  Array.iter (fun id -> Mesh.add_node mesh ~rng id) b.Builder.members;
-  let selector ~node ~prefix:_ ~candidates =
-    hybrid_pick oracle (Builder.vector_of b) ~rtts:5 ~node ~candidates
-  in
-  Mesh.build_tables mesh ~selector;
-  {
-    backend =
-      {
-        Mcast.name = "pastry";
-        member = (fun node -> Mesh.mem mesh node);
-        route_to =
-          (fun ~src ~dst ->
-            if not (Mesh.mem mesh dst) then None
-            else Mesh.route mesh ~src ~key:(Mesh.pastry_id mesh dst));
-        candidates = oracle_candidates oracle (fun () -> Mesh.node_ids mesh);
-        publish_load = (fun ~node:_ ~load:_ -> ());
-      };
-    on_remove =
-      (fun v ->
-        Mesh.remove_node mesh v;
-        Mesh.build_tables mesh ~selector);
-    on_join =
-      (fun n ->
-        Mesh.add_node mesh ~rng n;
-        Mesh.build_tables mesh ~selector);
-  }
-
-(* Koorde: constant-degree row.  Same hybrid selection over the ~k-wide
-   image-arc cover sets; like Chord/Pastry it keeps its own structure, so
-   churn events rebuild the de Bruijn entries. *)
-let koorde_arm ~seed oracle b =
-  let dbj = Dbj.create ~degree:4 () in
-  let rng = Rng.create ((seed * 6007) + 3) in
-  Array.iter (fun id -> Dbj.add_node dbj ~rng id) b.Builder.members;
-  let selector ~node ~arc:_ ~candidates =
-    hybrid_pick oracle (Builder.vector_of b) ~rtts:5 ~node ~candidates
-  in
-  Dbj.build_fingers dbj ~selector;
-  {
-    backend =
-      {
-        Mcast.name = "koorde";
-        member = (fun node -> Dbj.mem dbj node);
-        route_to =
-          (fun ~src ~dst ->
-            if not (Dbj.mem dbj dst) then None
-            else Dbj.route dbj ~src ~key:(Dbj.key_of dbj dst));
-        candidates = oracle_candidates oracle (fun () -> Dbj.node_ids dbj);
-        publish_load = (fun ~node:_ ~load:_ -> ());
-      };
-    on_remove =
-      (fun v ->
-        Dbj.remove_node dbj v;
-        Dbj.build_fingers dbj ~selector);
-    on_join =
-      (fun n ->
-        Dbj.add_node dbj ~rng n;
-        Dbj.build_fingers dbj ~selector);
+        be.add n;
+        be.rebuild ~pick);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -343,7 +258,8 @@ type stats = {
 
 let probe_cache_ttl = 600_000.0
 
-type kind = Ecan_aware | Ecan_random | Can_greedy | Chord_row | Pastry_row | Koorde_row
+(* [Ring_row (salt, make)]: a Chord / Pastry / Koorde row, see [ring_arm]. *)
+type kind = Ecan_aware | Ecan_random | Can_greedy | Ring_row of int * (Rng.t -> Backend.t)
 
 let run_row ?metrics ~domains ~scale ~seed ~degree ~subscribers ~events ~label kind =
   let oracle = Ctx.oracle ~scale Ctx.Tsk_large Topology.Transit_stub.Manual in
@@ -383,9 +299,7 @@ let run_row ?metrics ~domains ~scale ~seed ~degree ~subscribers ~events ~label k
     match kind with
     | Ecan_aware | Ecan_random -> ecan_arm ~name:label b
     | Can_greedy -> can_arm ~name:label b
-    | Chord_row -> chord_arm ~seed oracle b
-    | Pastry_row -> pastry_arm ~seed oracle b
-    | Koorde_row -> koorde_arm ~seed oracle b
+    | Ring_row (salt, make) -> ring_arm ~salt make ~seed oracle b
   in
   let policy = match kind with Ecan_random -> Mcast.Random | _ -> Mcast.Aware in
   let tree =
@@ -560,9 +474,9 @@ let data ?(scale = 1) ?(seed = 42) ?group_size ?(degree = 3) ?policy ?(domains =
     | None -> [ (Ecan_aware, "ecan aware"); (Ecan_random, "ecan random") ])
     @ [
         (Can_greedy, "can greedy");
-        (Chord_row, "chord");
-        (Pastry_row, "pastry");
-        (Koorde_row, "koorde");
+        (Ring_row (1, Backend.chord), "chord");
+        (Ring_row (2, Backend.pastry), "pastry");
+        (Ring_row (3, Backend.koorde ?degree:None), "koorde");
       ]
   in
   List.map

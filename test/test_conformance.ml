@@ -30,77 +30,42 @@ let log2f n = log (float_of_int (max 2 n)) /. log 2.
 
 (* ---- the five wrappers ---- *)
 
-let make_chord ~seed ~n =
-  let module Ring = Chord.Ring in
-  let rng = Rng.create seed in
-  let t = Ring.create () in
+(* Chord, Pastry and Koorde come from the shared ring-like adapter, with
+   random picks drawn from a second seeded stream. *)
+let of_ring ~seed ~n ~mean_hop_bound (b : Workload.Backend.t) =
   for id = 0 to n - 1 do
-    Ring.add_node t ~rng id
+    b.add id
   done;
-  let sel = Rng.create (seed + 1) in
-  let selector ~node:_ ~arc:_ ~candidates = Some (Rng.pick sel candidates) in
-  Ring.build_fingers t ~selector;
+  let pick = Core.Strategy.random_pick (Rng.create (seed + 1)) in
+  b.rebuild ~pick;
   {
-    name = "chord";
-    members = (fun () -> Ring.node_ids t);
-    route = (fun ~src ~key -> Ring.route t ~src ~key);
-    owner = (fun key -> Ring.successor_node t key);
-    key_space = 1 lsl Ring.key_bits t;
-    mean_hop_bound = (fun n -> (2. *. log2f n) +. 6.);
-    join = (fun id -> Ring.add_node t ~rng id);
-    leave = (fun id -> Ring.remove_node t id);
-    stabilize = (fun () -> Ring.build_fingers t ~selector);
-    invariants = (fun () -> Ring.check_invariants t);
+    name = b.name;
+    members = b.node_ids;
+    route = b.route;
+    owner = b.owner;
+    key_space = b.key_space;
+    mean_hop_bound;
+    join = b.add;
+    leave = b.remove;
+    stabilize = (fun () -> b.rebuild ~pick);
+    invariants = b.invariants;
   }
+
+let ring_hop_bound n = (2. *. log2f n) +. 6.
+
+let make_chord ~seed ~n =
+  of_ring ~seed ~n ~mean_hop_bound:ring_hop_bound (Workload.Backend.chord (Rng.create seed))
 
 let make_pastry ~seed ~n =
-  let module Mesh = Pastry.Mesh in
-  let rng = Rng.create seed in
-  let t = Mesh.create () in
-  for id = 0 to n - 1 do
-    Mesh.add_node t ~rng id
-  done;
-  let sel = Rng.create (seed + 1) in
-  let selector ~node:_ ~prefix:_ ~candidates = Some (Rng.pick sel candidates) in
-  Mesh.build_tables t ~selector;
-  {
-    name = "pastry";
-    members = (fun () -> Mesh.node_ids t);
-    route = (fun ~src ~key -> Mesh.route t ~src ~key);
-    owner = (fun key -> Mesh.owner_of t key);
-    key_space = 1 lsl (Mesh.digit_bits t * Mesh.num_digits t);
-    mean_hop_bound = (fun n -> (2. *. log2f n) +. 6.);
-    join = (fun id -> Mesh.add_node t ~rng id);
-    leave = (fun id -> Mesh.remove_node t id);
-    stabilize = (fun () -> Mesh.build_tables t ~selector);
-    invariants = (fun () -> Mesh.check_invariants t);
-  }
+  of_ring ~seed ~n ~mean_hop_bound:ring_hop_bound (Workload.Backend.pastry (Rng.create seed))
 
 let make_koorde ~seed ~n =
-  let module Dbj = Koorde.Debruijn in
-  let rng = Rng.create seed in
   let degree = [| 2; 4; 8; 16 |].(seed mod 4) in
-  let t = Dbj.create ~degree () in
-  for id = 0 to n - 1 do
-    Dbj.add_node t ~rng id
-  done;
-  let sel = Rng.create (seed + 1) in
-  let selector ~node:_ ~arc:_ ~candidates = Some (Rng.pick sel candidates) in
-  Dbj.build_fingers t ~selector;
-  {
-    name = "koorde";
-    members = (fun () -> Dbj.node_ids t);
-    route = (fun ~src ~key -> Dbj.route t ~src ~key);
-    owner = (fun key -> Dbj.successor_node t key);
-    key_space = 1 lsl Dbj.key_bits t;
-    (* log_k N digit hops plus successor corrections, which random
-       preferred entries make more frequent than the exact policy's O(1) *)
-    mean_hop_bound = (fun n -> (2. *. log2f n) +. 8.);
-    join = (fun id -> Dbj.add_node t ~rng id);
-    leave = (fun id -> Dbj.remove_node t id);
-    stabilize = (fun () -> Dbj.build_fingers t ~selector);
-    invariants = (fun () -> Dbj.check_invariants t);
-  }
+  (* log_k N digit hops plus successor corrections, which random
+     preferred entries make more frequent than the exact policy's O(1) *)
+  of_ring ~seed ~n
+    ~mean_hop_bound:(fun n -> (2. *. log2f n) +. 8.)
+    (Workload.Backend.koorde ~degree (Rng.create seed))
 
 (* CAN and eCAN route on points; keys map onto the unit square through a
    fixed 2 x 10-bit grid so the keyed interface is shared. *)
@@ -111,27 +76,9 @@ let point_of_key key =
   let cell v = (float_of_int v +. 0.5) /. float_of_int side in
   [| cell (key lsr (can_key_bits / 2)); cell (key land (side - 1)) |]
 
-let make_can ~seed ~n =
-  let module Can_overlay = Can.Overlay in
-  let rng = Rng.create seed in
-  let t = Can_overlay.create ~dims:2 0 in
-  for id = 1 to n - 1 do
-    ignore (Can_overlay.join t id (Point.random rng 2))
-  done;
-  {
-    name = "can";
-    members = (fun () -> Can_overlay.node_ids t);
-    route = (fun ~src ~key -> Can_overlay.route t ~src (point_of_key key));
-    owner = (fun key -> Can_overlay.owner_of t (point_of_key key));
-    key_space = 1 lsl can_key_bits;
-    mean_hop_bound = (fun n -> (4. *. sqrt (float_of_int n)) +. 8.);
-    join = (fun id -> ignore (Can_overlay.join t id (Point.random rng 2)));
-    leave = (fun id -> ignore (Can_overlay.leave t id));
-    stabilize = (fun () -> ());
-    invariants = (fun () -> Can_overlay.check_invariants t);
-  }
-
-let make_ecan ~seed ~n =
+(* CAN and eCAN share the substrate; eCAN adds expressway tables with
+   random picks from a second seeded stream and routes over them. *)
+let make_can_like ~express ~seed ~n =
   let module Can_overlay = Can.Overlay in
   let module Ecan_x = Ecan.Expressway in
   let rng = Rng.create seed in
@@ -139,27 +86,35 @@ let make_ecan ~seed ~n =
   for id = 1 to n - 1 do
     ignore (Can_overlay.join t id (Point.random rng 2))
   done;
-  let e = Ecan_x.create ~span_bits:2 t in
-  let sel = Rng.create (seed + 1) in
-  let selector ~node:_ ~region:_ ~candidates = Some (Rng.pick sel candidates) in
-  Ecan_x.build_tables e ~selector;
+  let route, stabilize =
+    if not express then ((fun ~src p -> Can_overlay.route t ~src p), fun () -> ())
+    else begin
+      let e = Ecan_x.create ~span_bits:2 t in
+      let pick = Core.Strategy.random_pick (Rng.create (seed + 1)) in
+      let stabilize () =
+        Ecan_x.build_tables e ~selector:(fun ~node ~region:_ ~candidates -> pick ~node ~candidates)
+      in
+      stabilize ();
+      ((fun ~src p -> Ecan_x.route e ~src p), stabilize)
+    end
+  in
   {
-    name = "ecan";
+    name = (if express then "ecan" else "can");
     members = (fun () -> Can_overlay.node_ids t);
-    route = (fun ~src ~key -> Ecan_x.route e ~src (point_of_key key));
+    route = (fun ~src ~key -> route ~src (point_of_key key));
     owner = (fun key -> Can_overlay.owner_of t (point_of_key key));
     key_space = 1 lsl can_key_bits;
     mean_hop_bound = (fun n -> (4. *. sqrt (float_of_int n)) +. 8.);
     join = (fun id -> ignore (Can_overlay.join t id (Point.random rng 2)));
     leave = (fun id -> ignore (Can_overlay.leave t id));
-    stabilize = (fun () -> Ecan_x.build_tables e ~selector);
+    stabilize;
     invariants = (fun () -> Can_overlay.check_invariants t);
   }
 
 let backends =
   [
-    ("can", make_can);
-    ("ecan", make_ecan);
+    ("can", make_can_like ~express:false);
+    ("ecan", make_can_like ~express:true);
     ("chord", make_chord);
     ("pastry", make_pastry);
     ("koorde", make_koorde);
@@ -171,7 +126,7 @@ let qcheck_terminates_within_bound (name, make) =
   QCheck.Test.make
     ~name:(Printf.sprintf "%s: routes terminate within the hop bound" name)
     ~count:15
-    QCheck.(pair (int_range 0 1000) (int_range 8 80))
+    QCheck.(pair (int_range 0 1000) (int_range 1 80))
     (fun (seed, n) ->
       let b = make ~seed ~n in
       let rng = Rng.create (seed + 2) in
@@ -190,7 +145,7 @@ let qcheck_lookup_matches_oracle (name, make) =
   QCheck.Test.make
     ~name:(Printf.sprintf "%s: lookups end at the membership model's owner" name)
     ~count:15
-    QCheck.(pair (int_range 0 1000) (int_range 8 80))
+    QCheck.(pair (int_range 0 1000) (int_range 1 80))
     (fun (seed, n) ->
       let b = make ~seed ~n in
       let rng = Rng.create (seed + 2) in

@@ -324,6 +324,71 @@ let test_join_cost_windows () =
   Alcotest.(check bool) "selection phase never slower at window L" true
     (con.Builder.selection_ms <= seq.Builder.selection_ms)
 
+(* ---- the shared selection policy (Core.Strategy) ---- *)
+
+(* A synthetic landmark space and RTT model with small value ranges, so
+   equal distances and equal RTTs are common. *)
+let synthetic_vector n = [| float_of_int (n * 37 mod 11); float_of_int (n * 13 mod 7) |]
+let landmark_dist node c = Landmark.Landmarks.vector_dist (synthetic_vector node) (synthetic_vector c)
+let synthetic_rtt dst = float_of_int (dst * 31 mod 5)
+
+(* [hybrid_pick] with [measure] wrapped to record each probed candidate:
+   returns the pick, the probes in order and the candidates minus node. *)
+let run_hybrid ?(rtt = synthetic_rtt) ~node ~rtts cands =
+  let probed = ref [] in
+  let measure src dst =
+    if src <> node then Alcotest.fail "probe from a node other than the selecting one";
+    probed := dst :: !probed;
+    rtt dst
+  in
+  let candidates = Array.of_list cands in
+  let got = Strategy.hybrid_pick ~measure ~vector_of:synthetic_vector ~rtts ~node ~candidates in
+  (got, List.rev !probed, List.filter (fun c -> c <> node) cands)
+
+let qcheck_hybrid_pick =
+  QCheck.Test.make
+    ~name:"strategy: hybrid probes the rtts landmark-nearest others, keeps the closest" ~count:300
+    QCheck.(triple (int_range 0 40) (small_list (int_range 0 40)) (int_range 1 12))
+    (fun (node, cands, rtts) ->
+      let cands = List.sort_uniq compare (node :: cands) in
+      let got, probed, others = run_hybrid ~node ~rtts cands in
+      let unprobed = List.filter (fun c -> not (List.mem c probed)) others in
+      let rec ranked = function
+        | a :: (b :: _ as rest) -> landmark_dist node a <= landmark_dist node b && ranked rest
+        | _ -> true
+      in
+      got <> Some node
+      && List.length probed = min rtts (List.length others)
+      && ranked probed
+      && List.for_all
+           (fun p -> List.for_all (fun u -> landmark_dist node p <= landmark_dist node u) unprobed)
+           probed
+      &&
+      match got with
+      | None -> probed = []
+      | Some c -> List.for_all (fun p -> synthetic_rtt c <= synthetic_rtt p) probed)
+
+let test_hybrid_tie_keeps_earlier_rank () =
+  (* all RTTs equal: the first-ranked candidate (closest in landmark
+     space, then lowest id) wins *)
+  for node = 0 to 20 do
+    let got, probed, others = run_hybrid ~rtt:(fun _ -> 7.0) ~node ~rtts:6 (List.init 30 Fun.id) in
+    let key c = (landmark_dist node c, c) in
+    let first = List.fold_left (fun b c -> if key c < key b then c else b) (List.hd others) others in
+    Alcotest.(check (option int)) "earliest-ranked wins the tie" (Some first) got;
+    Alcotest.(check (option int)) "and was probed first" (Some first) (List.nth_opt probed 0)
+  done
+
+let test_selection_empty () =
+  List.iter
+    (fun cands ->
+      let got, probed, _ = run_hybrid ~node:3 ~rtts:4 cands in
+      Alcotest.(check (option int)) "no pick" None got;
+      Alcotest.(check int) "no probes" 0 (List.length probed))
+    [ []; [ 3 ] ];
+  Alcotest.(check (option int)) "probe_best of nothing" None
+    (Strategy.probe_best ~measure:(fun _ _ -> 1.0) ~node:0 [])
+
 let suite =
   [
     Alcotest.test_case "build basics" `Quick test_build_basics;
@@ -344,4 +409,8 @@ let suite =
       test_liveness_polling_retracts_dead_entries;
     Alcotest.test_case "strategy validation" `Quick test_strategy_validation;
     Alcotest.test_case "join cost vs probe window" `Quick test_join_cost_windows;
+    QCheck_alcotest.to_alcotest qcheck_hybrid_pick;
+    Alcotest.test_case "strategy: equal RTTs keep the earlier-ranked candidate" `Quick
+      test_hybrid_tie_keeps_earlier_rank;
+    Alcotest.test_case "strategy: empty candidate set picks nothing" `Quick test_selection_empty;
   ]

@@ -6,8 +6,7 @@ module Ts = Topology.Transit_stub
 module Coordinates = Landmark.Coordinates
 module Landmarks = Landmark.Landmarks
 module Number = Landmark.Number
-module Ring = Chord.Ring
-module Softmap = Chord.Softmap
+module Ring_softmap = Chord.Ring_softmap
 module Can_overlay = Can.Overlay
 module Search = Proximity.Search
 module Store = Softstate.Store
@@ -81,76 +80,123 @@ let test_coords_positioning_better_than_chance () =
   let med = Prelude.Stats.percentile errors 50.0 in
   Alcotest.(check bool) (Printf.sprintf "median pair error %.3f < 0.8" med) true (med < 0.8)
 
-(* ---- chord soft map ---- *)
+(* ---- ring soft maps ---- *)
 
-let softmap_fixture ~seed =
-  let o = Lazy.force oracle in
-  let rng = Rng.create seed in
-  let ring = Ring.create () in
-  let n = Oracle.node_count o in
-  for id = 0 to n - 1 do
-    Ring.add_node ring ~rng id
-  done;
-  let lms = Landmarks.choose rng o 6 in
-  let scheme =
-    Number.default_scheme ~max_latency:(Number.calibrate_max_latency o (Landmarks.nodes lms)) ()
-  in
-  let map = Softmap.create ~scheme ring in
-  let vectors = Array.init n (fun node -> Landmarks.vector lms node) in
-  Array.iteri (fun node vector -> Softmap.publish map ~node ~vector) vectors;
-  (o, ring, map, vectors)
+(* The ring map cases run over both instances of the ring-softmap
+   functor: Chord's ring and Koorde's de Bruijn ring. *)
+module type RING_MAP = sig
+  module Ring : sig
+    include Chord.Ring_softmap.RING
 
-let test_softmap_publish_hosts () =
-  let _, ring, map, vectors = softmap_fixture ~seed:3 in
-  (* every entry is hosted by the successor of its store key *)
-  Array.iteri
-    (fun node vector ->
-      let key = Softmap.store_key_of map vector in
-      let host = Ring.successor_node ring key in
-      let hosted = Softmap.entries_at map host in
-      Alcotest.(check bool)
-        (Printf.sprintf "node %d hosted at successor of its landmark key" node)
-        true
-        (List.exists (fun (e : Softmap.entry) -> e.Softmap.node = node) hosted))
-    vectors
+    val create : unit -> t
+    val add_node : t -> rng:Rng.t -> int -> unit
+    val remove_node : t -> int -> unit
+  end
 
-let test_softmap_lookup_returns_closest () =
-  let _, _, map, vectors = softmap_fixture ~seed:4 in
-  let query = vectors.(0) in
-  let results = Softmap.lookup map ~vector:query ~max_results:5 () in
-  Alcotest.(check bool) "found something" true (results <> []);
-  (* results sorted by vector distance *)
-  let dists = List.map (fun (e : Softmap.entry) -> Landmarks.vector_dist query e.Softmap.vector) results in
-  Alcotest.(check (list (float 1e-9))) "sorted" (List.sort compare dists) dists
+  module Map : Chord.Ring_softmap.S with type overlay = Ring.t
+end
 
-let test_softmap_arc_filter () =
-  let _, ring, map, vectors = softmap_fixture ~seed:5 in
-  let ring_size = 1 lsl Ring.key_bits ring in
-  let lo = 0 and span = ring_size / 4 in
-  let results = Softmap.lookup map ~vector:vectors.(0) ~in_arc:(lo, span) ~max_results:20 ~ttl:200 () in
-  List.iter
-    (fun (e : Softmap.entry) ->
-      let k = Ring.key_of ring e.Softmap.node in
-      Alcotest.(check bool) "owner inside the arc" true (k >= lo && k < lo + span))
-    results
+let hosts node entries = List.exists (fun (e : Ring_softmap.entry) -> e.node = node) entries
 
-let test_softmap_unpublish_and_rehome () =
-  let _, ring, map, vectors = softmap_fixture ~seed:6 in
-  Softmap.unpublish map 0;
-  let results = Softmap.lookup map ~vector:vectors.(0) ~max_results:1000 ~ttl:1000 () in
-  Alcotest.(check bool) "unpublished node gone" true
-    (not (List.exists (fun (e : Softmap.entry) -> e.Softmap.node = 0) results));
-  (* membership churn + rehome keeps hosting consistent *)
-  Ring.remove_node ring 1;
-  Softmap.rehome map;
-  Array.iteri
-    (fun node vector ->
-      if node > 1 then begin
-        let host = Ring.successor_node ring (Softmap.store_key_of map vector) in
-        Alcotest.(check bool) "rehomed correctly" true
-          (List.exists (fun (e : Softmap.entry) -> e.Softmap.node = node) (Softmap.entries_at map host))
-      end)
-    vectors
+module Ring_map_tests (M : RING_MAP) = struct
+  let softmap_fixture ~seed =
+    let o = Lazy.force oracle in
+    let rng = Rng.create seed in
+    let ring = M.Ring.create () in
+    let n = Oracle.node_count o in
+    for id = 0 to n - 1 do
+      M.Ring.add_node ring ~rng id
+    done;
+    let lms = Landmarks.choose rng o 6 in
+    let scheme =
+      Number.default_scheme ~max_latency:(Number.calibrate_max_latency o (Landmarks.nodes lms)) ()
+    in
+    let map = M.Map.create ~scheme ring in
+    let vectors = Array.init n (fun node -> Landmarks.vector lms node) in
+    Array.iteri (fun node vector -> M.Map.publish map ~node ~vector) vectors;
+    (ring, map, vectors)
+
+  let test_softmap_publish_hosts () =
+    let ring, map, vectors = softmap_fixture ~seed:3 in
+    (* every entry is hosted by the successor of its store key *)
+    Array.iteri
+      (fun node vector ->
+        let key = M.Map.store_key_of map vector in
+        let host = M.Ring.successor_node ring key in
+        Alcotest.(check bool)
+          (Printf.sprintf "node %d hosted at successor of its landmark key" node)
+          true
+          (hosts node (M.Map.entries_at map host)))
+      vectors
+
+  let test_softmap_lookup_returns_closest () =
+    let _, map, vectors = softmap_fixture ~seed:4 in
+    let query = vectors.(0) in
+    let results = M.Map.lookup map ~vector:query ~max_results:5 () in
+    Alcotest.(check bool) "found something" true (results <> []);
+    (* results sorted by vector distance *)
+    let dists =
+      List.map (fun (e : Ring_softmap.entry) -> Landmarks.vector_dist query e.vector) results
+    in
+    Alcotest.(check (list (float 1e-9))) "sorted" (List.sort compare dists) dists
+
+  let test_softmap_arc_filter () =
+    let ring, map, vectors = softmap_fixture ~seed:5 in
+    let ring_size = 1 lsl M.Ring.key_bits ring in
+    let lo = 0 and span = ring_size / 4 in
+    let results = M.Map.lookup map ~vector:vectors.(0) ~in_arc:(lo, span) ~max_results:20 ~ttl:200 () in
+    List.iter
+      (fun (e : Ring_softmap.entry) ->
+        let k = M.Ring.key_of ring e.node in
+        Alcotest.(check bool) "owner inside the arc" true (k >= lo && k < lo + span))
+      results
+
+  let test_softmap_unpublish_and_rehome () =
+    let ring, map, vectors = softmap_fixture ~seed:6 in
+    M.Map.unpublish map 0;
+    let results = M.Map.lookup map ~vector:vectors.(0) ~max_results:1000 ~ttl:1000 () in
+    Alcotest.(check bool) "unpublished node gone" true (not (hosts 0 results));
+    (* membership churn + rehome keeps hosting consistent *)
+    M.Ring.remove_node ring 1;
+    M.Map.rehome map;
+    Array.iteri
+      (fun node vector ->
+        if node > 1 then begin
+          let host = M.Ring.successor_node ring (M.Map.store_key_of map vector) in
+          Alcotest.(check bool) "rehomed correctly" true (hosts node (M.Map.entries_at map host))
+        end)
+      vectors
+
+  let cases prefix =
+    [
+      Alcotest.test_case (prefix ^ "ring map hosting") `Quick test_softmap_publish_hosts;
+      Alcotest.test_case (prefix ^ "ring map lookup sorted") `Quick
+        test_softmap_lookup_returns_closest;
+      Alcotest.test_case (prefix ^ "ring map arc filter") `Quick test_softmap_arc_filter;
+      Alcotest.test_case (prefix ^ "ring map unpublish/rehome") `Quick
+        test_softmap_unpublish_and_rehome;
+    ]
+end
+
+module Chord_map_tests = Ring_map_tests (struct
+  module Ring = struct
+    include Chord.Ring
+
+    let create () = create ()
+  end
+
+  module Map = Chord.Softmap
+end)
+
+module Koorde_map_tests = Ring_map_tests (struct
+  module Ring = struct
+    include Koorde.Debruijn
+
+    let create () = create ~degree:4 ()
+  end
+
+  module Map = Koorde.Softmap
+end)
 
 (* ---- pastry prefix map ---- *)
 
@@ -366,10 +412,9 @@ let suite =
     Alcotest.test_case "coordinates arithmetic" `Quick test_coords_estimate;
     Alcotest.test_case "landmark embedding converges" `Quick test_coords_embedding_fits_landmarks;
     Alcotest.test_case "client positioning accuracy" `Quick test_coords_positioning_better_than_chance;
-    Alcotest.test_case "ring map hosting" `Quick test_softmap_publish_hosts;
-    Alcotest.test_case "ring map lookup sorted" `Quick test_softmap_lookup_returns_closest;
-    Alcotest.test_case "ring map arc filter" `Quick test_softmap_arc_filter;
-    Alcotest.test_case "ring map unpublish/rehome" `Quick test_softmap_unpublish_and_rehome;
+  ]
+  @ Chord_map_tests.cases ""
+  @ [
     Alcotest.test_case "pastry map store ids" `Quick test_pastry_map_store_ids;
     Alcotest.test_case "pastry map region lookup" `Quick test_pastry_map_lookup_region_only;
     Alcotest.test_case "pastry map unpublish/rehome" `Quick test_pastry_map_unpublish_rehome;
@@ -380,3 +425,4 @@ let suite =
     Alcotest.test_case "hill climbing local minima" `Quick test_hill_climb_stops_at_local_minimum;
     Alcotest.test_case "hosting statistics" `Quick test_hosting_stats;
   ]
+  @ Koorde_map_tests.cases "koorde "

@@ -8,8 +8,6 @@ module Faults = Engine.Faults
 module Oracle = Topology.Oracle
 module Builder = Core.Builder
 module Ecan_exp = Ecan.Expressway
-module Ring = Chord.Ring
-module Mesh = Pastry.Mesh
 module Exp_churn = Workload.Exp_churn
 module Can_overlay = Can.Overlay
 module Rng = Prelude.Rng
@@ -150,67 +148,36 @@ let test_ecan_oracle_detects_corruption () =
       Alcotest.(check int) "snapshot restored" 0 (List.length (Ecan_exp.entries ecan id)))
     (Can_overlay.node_ids can)
 
-let first_candidate ~node ~candidates =
-  let rec go i =
-    if i >= Array.length candidates then None
-    else if candidates.(i) <> node then Some candidates.(i)
-    else go (i + 1)
-  in
-  go 0
-
-let test_chord_oracle () =
+(* Build a 64-member ring-like overlay whose picks take the first
+   non-self candidate (recording every chosen target), check the oracle
+   passes, tear out eight referenced members so inhabited slots are left
+   unfilled, and check the oracle fails until a rebuild. *)
+let test_ring_oracle make ~seed ~probe_seed () =
   let oracle = Lazy.force oracle in
-  let rng = Rng.create 21 in
+  let rng = Rng.create seed in
   let members = Rng.sample rng 64 (Array.init (Oracle.node_count oracle) (fun i -> i)) in
-  let ring = Ring.create () in
-  Array.iter (fun id -> Ring.add_node ring ~rng id) members;
-  Ring.build_fingers ring ~selector:(fun ~node ~arc:_ ~candidates -> first_candidate ~node ~candidates);
-  (match Exp_churn.chord_convergence ~seed:5 ring with
-  | Ok () -> ()
-  | Error m -> Alcotest.fail ("freshly built ring should converge: " ^ m));
-  (* Tear out several members: their fingers vanish and fingers pointing
-     at them are cleared, leaving inhabited arcs uncovered. *)
-  for i = 0 to 7 do
-    Ring.remove_node ring members.(i)
-  done;
-  (match Exp_churn.chord_convergence ~seed:5 ring with
-  | Ok () -> Alcotest.fail "unrepaired ring must not pass the oracle"
-  | Error _ -> ());
-  Ring.build_fingers ring ~selector:(fun ~node ~arc:_ ~candidates -> first_candidate ~node ~candidates);
-  match Exp_churn.chord_convergence ~seed:5 ring with
-  | Ok () -> ()
-  | Error m -> Alcotest.fail ("rebuilt ring should converge again: " ^ m)
-
-let test_pastry_oracle () =
-  let oracle = Lazy.force oracle in
-  let rng = Rng.create 22 in
-  let members = Rng.sample rng 64 (Array.init (Oracle.node_count oracle) (fun i -> i)) in
-  let mesh = Mesh.create () in
-  Array.iter (fun id -> Mesh.add_node mesh ~rng id) members;
-  let build () =
-    Mesh.build_tables mesh ~selector:(fun ~node ~prefix:_ ~candidates ->
-        first_candidate ~node ~candidates)
-  in
-  build ();
-  (match Exp_churn.pastry_convergence ~seed:6 mesh with
-  | Ok () -> ()
-  | Error m -> Alcotest.fail ("freshly built mesh should converge: " ^ m));
-  (* Remove nodes that other members actually reference in their routing
-     tables, so the removals are guaranteed to leave cleared slots. *)
+  let be : Workload.Backend.t = make rng in
+  Array.iter be.add members;
   let referenced = Hashtbl.create 64 in
-  Array.iter
-    (fun id -> List.iter (fun (_, _, t) -> Hashtbl.replace referenced t ()) (Mesh.table_entries mesh id))
-    (Mesh.node_ids mesh);
+  let pick ~node ~candidates =
+    let chosen = Array.find_opt (fun c -> c <> node) candidates in
+    Option.iter (fun t -> Hashtbl.replace referenced t ()) chosen;
+    chosen
+  in
+  be.rebuild ~pick;
+  (match Exp_churn.convergence ~seed:probe_seed be with
+  | Ok () -> ()
+  | Error m -> Alcotest.fail ("freshly built overlay should converge: " ^ m));
   let victims = ref [] in
   Hashtbl.iter (fun t () -> if List.length !victims < 8 then victims := t :: !victims) referenced;
-  List.iter (fun v -> Mesh.remove_node mesh v) !victims;
-  (match Exp_churn.pastry_convergence ~seed:6 mesh with
-  | Ok () -> Alcotest.fail "unrepaired mesh must not pass the oracle"
+  List.iter be.remove !victims;
+  (match Exp_churn.convergence ~seed:probe_seed be with
+  | Ok () -> Alcotest.fail "unrepaired overlay must not pass the oracle"
   | Error _ -> ());
-  build ();
-  match Exp_churn.pastry_convergence ~seed:6 mesh with
+  be.rebuild ~pick;
+  match Exp_churn.convergence ~seed:probe_seed be with
   | Ok () -> ()
-  | Error m -> Alcotest.fail ("rebuilt mesh should converge again: " ^ m)
+  | Error m -> Alcotest.fail ("rebuilt overlay should converge again: " ^ m)
 
 (* ---- full churn workload ---- *)
 
@@ -310,10 +277,14 @@ let suite =
     Alcotest.test_case "ecan oracle: clean overlay passes" `Quick test_ecan_oracle_clean;
     Alcotest.test_case "ecan oracle: corruption detected, snapshot restored" `Quick
       test_ecan_oracle_detects_corruption;
-    Alcotest.test_case "chord oracle: storm then rebuild" `Quick test_chord_oracle;
-    Alcotest.test_case "pastry oracle: storm then rebuild" `Quick test_pastry_oracle;
+    Alcotest.test_case "chord oracle: storm then rebuild" `Quick
+      (test_ring_oracle Workload.Backend.chord ~seed:21 ~probe_seed:5);
+    Alcotest.test_case "pastry oracle: storm then rebuild" `Quick
+      (test_ring_oracle Workload.Backend.pastry ~seed:22 ~probe_seed:6);
     Alcotest.test_case "ecan storm repairs" `Quick test_ecan_storm_repairs;
     Alcotest.test_case "sharded store + digests under churn" `Quick test_sharded_digest_churn;
     Alcotest.test_case "chord/pastry storm repairs" `Quick test_chord_pastry_storm_repairs;
     Alcotest.test_case "storm metrics deterministic" `Quick test_storm_metrics_deterministic;
+    Alcotest.test_case "koorde oracle: storm then rebuild" `Quick
+      (test_ring_oracle (Workload.Backend.koorde ?degree:None) ~seed:23 ~probe_seed:7);
   ]
