@@ -33,16 +33,26 @@ let verbose_arg =
   let doc = "Enable debug logging of overlay construction and maintenance." in
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc)
 
+(* Range-checked argument types: a bad value is a one-line usage error
+   (exit 124), never an exception from deep inside a run. *)
+let checked of_string pp ok expected =
+  let parse s =
+    match of_string s with
+    | Some v when ok v -> Ok v
+    | _ -> Error (`Msg (Printf.sprintf "expected %s, got %S" expected s))
+  in
+  Arg.conv (parse, pp)
+
+let positive = checked int_of_string_opt Format.pp_print_int (fun n -> n >= 1) "a positive integer"
+let nonneg = checked int_of_string_opt Format.pp_print_int (fun n -> n >= 0) "an integer >= 0"
+
+let probability =
+  checked float_of_string_opt Format.pp_print_float
+    (fun p -> p >= 0.0 && p <= 1.0)
+    "a number in [0,1]"
+
 let scale_arg =
   let doc = "Divide workload sizes by $(docv) for quicker runs." in
-  let positive =
-    let parse s =
-      match int_of_string_opt s with
-      | Some n when n >= 1 -> Ok n
-      | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
   Arg.(value & opt positive 1 & info [ "scale" ] ~docv:"N" ~doc)
 
 let seed_arg =
@@ -65,20 +75,11 @@ let probe_window_arg =
   let doc =
     "Probe-plane concurrency: how many RTT probes fly at once (1 = sequential).      Changes modelled probe wall-clock only, never which probes are sent."
   in
-  Arg.(value & opt int 1 & info [ "probe-window" ] ~docv:"W" ~doc)
+  Arg.(value & opt positive 1 & info [ "probe-window" ] ~docv:"W" ~doc)
 
 let domains_arg =
   let doc =
     "Domain pool hosting the store's shard-parallel phases and the probe plane's      batch prefetch: 0 (the default) reads the TOPOAWARE_DOMAINS environment      variable (else 1); N >= 1 pins an N-domain pool. Changes real wall-clock      only — results and metrics are byte-identical across values (DESIGN.md §12)."
-  in
-  let nonneg =
-    let parse s =
-      match int_of_string_opt s with
-      | Some n when n >= 0 -> Ok n
-      | Some _ -> Error (`Msg "--domains must be >= 0")
-      | None -> Error (`Msg (Printf.sprintf "invalid --domains value %S" s))
-    in
-    Arg.conv (parse, Format.pp_print_int)
   in
   Arg.(value & opt nonneg 0 & info [ "domains" ] ~docv:"N" ~doc)
 
@@ -177,7 +178,7 @@ let topo_info_cmd =
 
 let nn_search_cmd =
   let budget_arg =
-    Arg.(value & opt int 10 & info [ "budget" ] ~docv:"N" ~doc:"RTT measurement budget.")
+    Arg.(value & opt positive 10 & info [ "budget" ] ~docv:"N" ~doc:"RTT measurement budget.")
   in
   let run variant latency seed scale budget probe_window =
     let oracle = Workload.Ctx.oracle ~scale variant latency in
@@ -236,13 +237,11 @@ let build_cmd =
     Arg.(value & opt strat (Strategy.hybrid ~rtts:10 ()) & info [ "strategy" ] ~docv:"S" ~doc)
   in
   let size_arg =
-    Arg.(value & opt int 1024 & info [ "nodes" ] ~docv:"N" ~doc:"Overlay size.")
+    Arg.(value & opt positive 1024 & info [ "nodes" ] ~docv:"N" ~doc:"Overlay size.")
   in
   let run verbose variant latency seed scale strategy size probe_window domains =
-    if size < 1 then `Error (false, "--nodes must be >= 1")
-    else if size / scale < 1 then
+    if size / scale < 1 then
       `Error (false, Printf.sprintf "--nodes %d / --scale %d leaves an empty overlay" size scale)
-    else if probe_window < 1 then `Error (false, "--probe-window must be >= 1")
     else begin
       setup_logs verbose;
       let oracle = Workload.Ctx.oracle ~scale variant latency in
@@ -289,25 +288,26 @@ let build_cmd =
 
 let churn_cmd =
   let crashes_arg =
-    Arg.(value & opt int 8 & info [ "crashes" ] ~docv:"N" ~doc:"Fail-stop crashes in the storm.")
+    Arg.(value & opt nonneg 8 & info [ "crashes" ] ~docv:"N" ~doc:"Fail-stop crashes in the storm.")
   in
   let leaves_arg =
-    Arg.(value & opt int 8 & info [ "leaves" ] ~docv:"N" ~doc:"Graceful departures in the storm.")
+    Arg.(value & opt nonneg 8
+         & info [ "leaves" ] ~docv:"N" ~doc:"Graceful departures in the storm.")
   in
   let joins_arg =
-    Arg.(value & opt int 16 & info [ "joins" ] ~docv:"N" ~doc:"Joins in the storm.")
+    Arg.(value & opt nonneg 16 & info [ "joins" ] ~docv:"N" ~doc:"Joins in the storm.")
   in
   let loss_arg =
-    Arg.(value & opt float 0.05
+    Arg.(value & opt probability 0.05
          & info [ "loss" ] ~docv:"P" ~doc:"Notification loss probability in [0,1].")
   in
   let stale_arg =
-    Arg.(value & opt float 0.10
+    Arg.(value & opt probability 0.10
          & info [ "staleness" ] ~docv:"F"
              ~doc:"Fraction of soft-state entries aged to expiry per staleness burst.")
   in
   let shards_arg =
-    Arg.(value & opt int 1
+    Arg.(value & opt positive 1
          & info [ "shards" ] ~docv:"N"
              ~doc:"Soft-state expiry shards (independently swept store partitions).")
   in
@@ -318,12 +318,7 @@ let churn_cmd =
   in
   let run verbose seed scale crashes leaves joins loss staleness shards digest_window
       probe_window domains =
-    if loss < 0.0 || loss > 1.0 then `Error (false, "--loss must be in [0,1]")
-    else if staleness < 0.0 || staleness > 1.0 then `Error (false, "--staleness must be in [0,1]")
-    else if shards < 1 then `Error (false, "--shards must be >= 1")
-    else if digest_window < 0.0 then `Error (false, "--digest-window must be >= 0")
-    else if probe_window < 1 then `Error (false, "--probe-window must be >= 1")
-    else if domains < 0 then `Error (false, "--domains must be >= 0")
+    if digest_window < 0.0 then `Error (false, "--digest-window must be >= 0")
     else begin
       setup_logs verbose;
       let storm =
@@ -390,21 +385,18 @@ let cache_cmd =
              ~doc:"Zipf popularity exponent, >= 0 (0 = uniform requests).")
   in
   let clients_arg =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some positive) None
          & info [ "clients" ] ~docv:"N"
              ~doc:"Client population size (default: scales with the workload).")
   in
   let replicas_arg =
-    Arg.(value & opt int 3
+    Arg.(value & opt positive 3
          & info [ "replicas" ] ~docv:"R"
              ~doc:"Max copies per key, >= 1 (1 disables hotspot replication).")
   in
   let run verbose seed scale zipf_s clients replicas =
     if (not (Float.is_finite zipf_s)) || zipf_s < 0.0 then
       `Error (false, "--zipf-s must be finite and >= 0")
-    else if (match clients with Some c -> c < 1 | None -> false) then
-      `Error (false, "--clients must be >= 1")
-    else if replicas < 1 then `Error (false, "--replicas must be >= 1")
     else begin
       setup_logs verbose;
       Workload.Exp_cache.run_custom ~scale ~seed ~zipf_s ?clients ~replicas ppf;
@@ -447,7 +439,7 @@ let mcast_cmd =
              ~doc:"Subscriber group size, >= 4 (default: scales with the workload).")
   in
   let degree_arg =
-    Arg.(value & opt int 3
+    Arg.(value & opt positive 3
          & info [ "degree" ] ~docv:"D" ~doc:"Max children per tree node, >= 1.")
   in
   let policy_arg =
@@ -461,7 +453,6 @@ let mcast_cmd =
   let run verbose seed scale group_size degree policy =
     if (match group_size with Some g -> g < 4 | None -> false) then
       `Error (false, "--group-size must be >= 4")
-    else if degree < 1 then `Error (false, "--degree must be >= 1")
     else begin
       setup_logs verbose;
       Workload.Exp_mcast.run_custom ~scale ~seed ?group_size ~degree ?policy ppf;
@@ -486,14 +477,14 @@ let trace_cmd =
          & info [ "out" ] ~docv:"FILE" ~doc:"Write the JSONL spans to $(docv) instead of stdout.")
   in
   let size_arg =
-    Arg.(value & opt int 128 & info [ "nodes" ] ~docv:"N" ~doc:"Overlay size.")
+    Arg.(value & opt positive 128 & info [ "nodes" ] ~docv:"N" ~doc:"Overlay size.")
   in
   let until_arg =
     Arg.(value & opt float 120_000.0
          & info [ "until" ] ~docv:"MS" ~doc:"Simulated horizon in milliseconds.")
   in
   let lookups_arg =
-    Arg.(value & opt int 32
+    Arg.(value & opt nonneg 32
          & info [ "lookups" ] ~docv:"N" ~doc:"Routed lookups issued after the run (route spans).")
   in
   let run verbose variant latency seed scale size until lookups out =
@@ -533,31 +524,8 @@ let trace_cmd =
           spread = until /. 2.0;
         }
       in
-      let joiners =
-        Array.of_seq
-          (Seq.filter
-             (fun i -> not (Can_overlay.mem can i))
-             (Seq.init (Oracle.node_count oracle) (fun i -> i)))
-      in
-      let next_join = ref 0 in
       let drv = Rng.create (seed + 2) in
-      let handler (ev : Engine.Faults.event) =
-        match ev.Engine.Faults.action with
-        | Engine.Faults.Crash ->
-          let ids = Can_overlay.node_ids can in
-          if Array.length ids > 8 then Core.Maintenance.node_crashes m (Rng.pick drv ids)
-        | Engine.Faults.Leave ->
-          let ids = Can_overlay.node_ids can in
-          if Array.length ids > 8 then Core.Maintenance.node_departs m (Rng.pick drv ids)
-        | Engine.Faults.Join ->
-          if !next_join < Array.length joiners then begin
-            Core.Maintenance.node_joins m joiners.(!next_join);
-            incr next_join
-          end
-        | Engine.Faults.Expire fraction ->
-          ignore (Softstate.Store.inject_staleness b.Builder.store ~rng:drv ~fraction)
-      in
-      Engine.Faults.install faults ~sim ~plan:(Engine.Faults.plan faults storm) ~handler;
+      Workload.Exp_churn.install_ecan_storm ~faults ~sim ~drv ~storm b m;
       Engine.Sim.run ~until sim;
       let ids = Can_overlay.node_ids can in
       for _ = 1 to lookups do

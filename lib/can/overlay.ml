@@ -415,6 +415,13 @@ let members_with_prefix t bits =
   | Some l -> Array.of_list !l
   | None -> [||]
 
+let in_region t prefix id =
+  match Hashtbl.find_opt t.nodes id with
+  | None -> false
+  | Some n ->
+    let len = Array.length prefix in
+    Array.length n.path >= len && Array.for_all2 ( = ) prefix (Array.sub n.path 0 len)
+
 let check_invariants t =
   let ( let* ) r f = Result.bind r f in
   let err fmt = Format.kasprintf (fun s -> Error s) fmt in

@@ -101,6 +101,10 @@ val members_with_prefix : t -> int array -> int array
 (** Members whose path starts with the given bits (the population of a
     high-order zone).  O(result). *)
 
+val in_region : t -> int array -> int -> bool
+(** [in_region t prefix id]: [id] is a member and its path starts with
+    [prefix] — it lies inside that high-order zone. *)
+
 val check_invariants : t -> (unit, string) result
 (** Testing hook: zones tile the space (volumes sum to 1, paths form an
     exact prefix-free tree cover), every node's zone matches its path,

@@ -185,18 +185,13 @@ let join_node t node =
    region no longer contains that target (zone takeover moves nodes). *)
 let stale_slots t relocated =
   let can = Ecan_exp.can t.ecan in
-  let in_region region target =
-    let path = (Can_overlay.node can target).Can_overlay.path in
-    Array.length path >= Array.length region
-    && Array.for_all2 ( = ) region (Array.sub path 0 (Array.length region))
-  in
   Array.fold_left
     (fun acc id ->
       List.fold_left
         (fun acc (row, digit, target) ->
           if List.mem target relocated then begin
             let region = Ecan_exp.region_prefix t.ecan id ~row ~digit in
-            if in_region region target then acc else (id, row, digit) :: acc
+            if Can_overlay.in_region can region target then acc else (id, row, digit) :: acc
           end
           else acc)
         acc (Ecan_exp.entries t.ecan id))

@@ -70,21 +70,15 @@ let refresh_all t =
   Array.iter
     (fun node ->
       let path = (Can_overlay.node can node).Can_overlay.path in
-      let len = Array.length path / span_bits * span_bits in
-      let rec go l =
-        if l >= 0 then begin
-          let region = Array.sub path 0 l in
+      (* Deepest region first. *)
+      List.iter
+        (fun region ->
           (match Store.find store ~region ~node with
           | Some _ -> Store.refresh store ~region ~node
           | None -> Bus.publish t.bus ~region ~node ~vector:(Builder.vector_of builder node));
           t.refreshes <- t.refreshes + 1;
-          (match t.counters with
-          | Some c -> Engine.Metrics.incr c.c_refreshes
-          | None -> ());
-          go (l - span_bits)
-        end
-      in
-      go len)
+          match t.counters with Some c -> Engine.Metrics.incr c.c_refreshes | None -> ())
+        (List.rev (Store.enclosing_regions ~span_bits path)))
     (Can_overlay.node_ids can)
 
 let arm_refresh t =
@@ -349,27 +343,10 @@ let enable_liveness_polling t ?(period = 300_000.0) ~is_alive () =
   let timer = Sim.every t.sim ~period poll in
   t.timers <- timer :: t.timers
 
-let subscribe_all_slots t =
-  let ecan = t.builder.Builder.ecan in
-  let can = Ecan_exp.can ecan in
-  Array.iter
-    (fun node ->
-      for row = 0 to Ecan_exp.rows ecan node - 1 do
-        let own = Ecan_exp.own_digit ecan node ~row in
-        for digit = 0 to (1 lsl Ecan_exp.span_bits ecan) - 1 do
-          if digit <> own then watch_slot t ~node ~row ~digit
-        done
-      done)
-    (Can_overlay.node_ids can)
+let watch_all_slots_of t node = Ecan_exp.iter_slots t.builder.Builder.ecan node (watch_slot t ~node)
 
-let watch_all_slots_of t node =
-  let ecan = t.builder.Builder.ecan in
-  for row = 0 to Ecan_exp.rows ecan node - 1 do
-    let own = Ecan_exp.own_digit ecan node ~row in
-    for digit = 0 to (1 lsl Ecan_exp.span_bits ecan) - 1 do
-      if digit <> own then watch_slot t ~node ~row ~digit
-    done
-  done
+let subscribe_all_slots t =
+  Array.iter (watch_all_slots_of t) (Can_overlay.node_ids (Ecan_exp.can t.builder.Builder.ecan))
 
 let node_joins t node =
   let builder = t.builder in
@@ -472,32 +449,22 @@ let audit_tables t =
   let can = Ecan_exp.can ecan in
   Array.iter
     (fun node ->
-      for row = 0 to Ecan_exp.rows ecan node - 1 do
-        let own = Ecan_exp.own_digit ecan node ~row in
-        for digit = 0 to (1 lsl Ecan_exp.span_bits ecan) - 1 do
-          if digit <> own then begin
-            let region = Ecan_exp.region_prefix ecan node ~row ~digit in
-            let wants_repair =
-              match Ecan_exp.entry ecan node ~row ~digit with
-              | Some target ->
-                (* Dead or relocated-out-of-region representative. *)
-                (not (Can_overlay.mem can target))
-                ||
-                let path = (Can_overlay.node can target).Can_overlay.path in
-                Array.length path < Array.length region
-                || not (Array.for_all2 ( = ) region (Array.sub path 0 (Array.length region)))
-              | None ->
-                (* Unfilled slot whose region has members: a publish
-                   notification was lost. *)
-                Array.length (Can_overlay.members_with_prefix can region) > 0
-            in
-            if wants_repair then begin
-              incr repaired;
-              reselect_slot t ~node ~row ~digit
-            end
-          end
-        done
-      done)
+      Ecan_exp.iter_slots ecan node (fun ~row ~digit ->
+          let region = Ecan_exp.region_prefix ecan node ~row ~digit in
+          let wants_repair =
+            match Ecan_exp.entry ecan node ~row ~digit with
+            | Some target ->
+              (* Dead or relocated-out-of-region representative. *)
+              not (Can_overlay.in_region can region target)
+            | None ->
+              (* Unfilled slot whose region has members: a publish
+                 notification was lost. *)
+              Array.length (Can_overlay.members_with_prefix can region) > 0
+          in
+          if wants_repair then begin
+            incr repaired;
+            reselect_slot t ~node ~row ~digit
+          end))
     (Can_overlay.node_ids can);
   !repaired
 

@@ -66,6 +66,14 @@ let region_prefix t id ~row ~digit =
   done;
   prefix
 
+let iter_slots t id f =
+  for row = 0 to rows t id - 1 do
+    let own = own_digit t id ~row in
+    for digit = 0 to fan t - 1 do
+      if digit <> own then f ~row ~digit
+    done
+  done
+
 let table t id =
   match Hashtbl.find_opt t.tables id with
   | Some tbl -> tbl

@@ -50,6 +50,11 @@ val own_digit : t -> int -> row:int -> int
 val region_prefix : t -> int -> row:int -> digit:int -> int array
 (** The path prefix of the sibling region a table slot points into. *)
 
+val iter_slots : t -> int -> (row:int -> digit:int -> unit) -> unit
+(** [iter_slots t id f] calls [f] on every table slot of a node, rows then
+    digits ascending, skipping the node's own digit in each row: the
+    [rows * (2^span_bits - 1)] sibling regions its table points into. *)
+
 val entry : t -> int -> row:int -> digit:int -> int option
 (** Current table entry, [None] if unfilled or never built. *)
 

@@ -282,14 +282,10 @@ let publish t ~region ~node ~vector =
 
 let publish_all t ~span_bits ~node ~vector =
   let path = (Can.Overlay.node (Store.can t.store) node).Can.Overlay.path in
-  let len = Array.length path / span_bits * span_bits in
-  let rec go l =
-    if l >= 0 then begin
-      publish t ~region:(Array.sub path 0 l) ~node ~vector;
-      go (l - span_bits)
-    end
-  in
-  go len
+  (* Deepest region first. *)
+  List.iter
+    (fun region -> publish t ~region ~node ~vector)
+    (List.rev (Store.enclosing_regions ~span_bits path))
 
 let update_load t ~region ~node ~load ~capacity =
   match Store.find t.store ~region ~node with

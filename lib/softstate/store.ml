@@ -293,8 +293,6 @@ let publish t ~region ~node ~vector =
 let enclosing_regions ~span_bits path =
   let len = Array.length path in
   let rec go acc l = if l < 0 then acc else go (Array.sub path 0 l :: acc) (l - span_bits) in
-  (* Regions at digit granularity, from the root down to the node's
-     deepest complete high-order zone. *)
   go [] (len / span_bits * span_bits)
 
 let publish_all t ~span_bits ~node ~vector =

@@ -107,10 +107,13 @@ val publish : t -> region:int array -> node:int -> vector:float array -> unit
     the replaced entry's load statistics ({!Entry.t.load} /
     {!Entry.t.capacity}) carry over to the new entry. *)
 
+val enclosing_regions : span_bits:int -> int array -> int array list
+(** The high-order zones enclosing a CAN path: its prefixes in steps of
+    [span_bits], root region first, down to the deepest complete digit. *)
+
 val publish_all : t -> span_bits:int -> node:int -> vector:float array -> unit
-(** Publish [node] into every high-order zone enclosing its CAN zone
-    (prefixes of its path in steps of [span_bits], including the root
-    region) — at most [O(log n)] maps, as the paper notes. *)
+(** Publish [node] into every {!enclosing_regions} of its CAN zone —
+    at most [O(log n)] maps, as the paper notes. *)
 
 val unpublish : t -> region:int array -> node:int -> unit
 (** Proactive departure: drop the entry immediately. *)

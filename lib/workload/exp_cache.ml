@@ -26,14 +26,9 @@
 module Oracle = Topology.Oracle
 module Builder = Core.Builder
 module Strategy = Core.Strategy
-module Store = Softstate.Store
 module Cache = Engine.Cache
 module Probe = Engine.Probe
 module Metrics = Engine.Metrics
-module Can_overlay = Can.Overlay
-module Ecan_exp = Ecan.Expressway
-module Zone = Geometry.Zone
-module Point = Geometry.Point
 module Stats = Prelude.Stats
 module Rng = Prelude.Rng
 module Zipf = Prelude.Zipf
@@ -41,15 +36,6 @@ module Zipf = Prelude.Zipf
 (* ------------------------------------------------------------------ *)
 (* Request schedule: shared verbatim by every backend                  *)
 (* ------------------------------------------------------------------ *)
-
-(* SplitMix64 finalizer: spreads consecutive key ids over the key space
-   so home nodes are uniform regardless of the Zipf rank order. *)
-let mix62 k =
-  let z = Int64.add (Int64.of_int k) 0x9E3779B97F4A7C15L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-  let z = Int64.logxor z (Int64.shift_right_logical z 31) in
-  Int64.to_int (Int64.shift_right_logical z 2)
 
 type request = { round : int; client : int; key : int }
 
@@ -75,92 +61,7 @@ let schedule ~seed ~clients ~rounds ~universe ~zipf_s =
 
 (* Order-independent multiset digest of the requested keys: a wrapping
    sum of mixed key ids is invariant under any interleaving. *)
-let digest_add acc key = acc + mix62 key
-
-(* ------------------------------------------------------------------ *)
-(* Backends                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let builder_load_reset b =
-  let store = b.Builder.store in
-  Array.iter
-    (fun node ->
-      List.iter
-        (fun region -> Store.update_stats store ~region ~node ~load:0.0 ~capacity:1.0)
-        (Store.regions_of store node))
-    b.Builder.members
-
-(* eCAN / plain-CAN backends share the builder's substrate: homes come
-   from CAN zone ownership of the key's hashed point, replica placement
-   from a root-region soft-state lookup around the hot node's landmark
-   vector that skips entries whose (freshly published) load crossed the
-   threshold — the §6 load/capacity fields doing service-layer work. *)
-let builder_backend ~name ~route b =
-  let can = Ecan_exp.can b.Builder.ecan in
-  let store = b.Builder.store in
-  let point_of_key key =
-    let h = mix62 key in
-    let x = float_of_int (h land 0x3FFFFFFF) /. 1073741824.0 in
-    let y = float_of_int ((h lsr 30) land 0x3FFFFFFF) /. 1073741824.0 in
-    [| x; y |]
-  in
-  {
-    Cache.name;
-    member = (fun node -> Can_overlay.mem can node);
-    home_of = (fun key -> Can_overlay.owner_of can (point_of_key key));
-    route_to =
-      (fun ~src ~dst -> route ~src (Zone.center (Can_overlay.node can dst).Can_overlay.zone));
-    near =
-      (fun ~node ~exclude ->
-        let vector = Builder.vector_of b node in
-        Store.lookup store ~region:[||] ~vector ~max_results:12 ~ttl:2 ~max_load:0.99 ()
-        |> List.find_map (fun (e : Store.Entry.t) ->
-               let c = e.Store.Entry.node in
-               if c <> node && (not (List.mem c exclude)) && Can_overlay.mem can c then Some c
-               else None));
-    publish_load =
-      (fun ~node ~load ->
-        List.iter
-          (fun region -> Store.update_stats store ~region ~node ~load ~capacity:1.0)
-          (Store.regions_of store node));
-  }
-
-let ecan_backend ~name b =
-  builder_backend ~name ~route:(fun ~src p -> Ecan_exp.route b.Builder.ecan ~src p) b
-
-let can_backend ~name b =
-  let can = Ecan_exp.can b.Builder.ecan in
-  builder_backend ~name ~route:(fun ~src p -> Can_overlay.route can ~src p) b
-
-let oracle_near oracle members ~node ~exclude =
-  Array.fold_left
-    (fun best c ->
-      if c = node || List.mem c exclude then best
-      else
-        let d = Oracle.dist oracle node c in
-        match best with Some (bd, bc) when (bd, bc) <= (d, c) -> best | _ -> Some (d, c))
-    None members
-  |> Option.map snd
-
-(* Chord / Pastry / Koorde get the same member population and the same
-   vector-then-probe neighbor selection the xover experiment uses (for
-   Koorde over image-arc cover sets of only ~k candidates per node); with
-   no soft-state plane of their own, replica placement is the physically
-   nearest member (the service-level optimum a map lookup approximates).
-   [salt] keeps each overlay's historical id seed. *)
-let ring_backend ~salt make ~seed oracle b =
-  let be : Backend.t = make (Rng.create ((seed * 6007) + salt)) in
-  Array.iter be.add b.Builder.members;
-  let vector_of = Builder.vector_of b in
-  be.rebuild ~pick:(Strategy.hybrid_pick ~measure:(Oracle.measure oracle) ~vector_of ~rtts:5);
-  {
-    Cache.name = be.name;
-    member = be.mem;
-    home_of = (fun key -> be.owner (mix62 key mod be.key_space));
-    route_to = (fun ~src ~dst -> be.route ~src ~key:(be.key_of dst));
-    near = oracle_near oracle b.Builder.members;
-    publish_load = (fun ~node:_ ~load:_ -> ());
-  }
+let digest_add acc key = acc + Service.mix62 key
 
 (* ------------------------------------------------------------------ *)
 (* Driving one backend through the shared schedule                     *)
@@ -266,23 +167,24 @@ let data ?(scale = 1) ?(seed = 42) ?(zipf_s = 0.9) ?clients ?(replicas = 3) ?met
   in
   let reqs = schedule ~seed ~clients ~rounds ~universe ~zipf_s in
   let attach = Array.init clients (fun c -> b.Builder.members.(c mod size)) in
-  let go ~label ~replicas backend =
-    builder_load_reset b;
-    run_backend ?metrics ?trace ~label ~replicas ~threshold ~oracle ~attach ~reqs backend
+  let go ~label ~replicas service =
+    Service.reset_loads b;
+    run_backend ?metrics ?trace ~label ~replicas ~threshold ~oracle ~attach ~reqs
+      (Service.cache_backend service)
   in
-  let aware = go ~label:"ecan aware" ~replicas (ecan_backend ~name:"ecan aware" b) in
+  let aware = go ~label:"ecan aware" ~replicas (Service.ecan ~name:"ecan aware" b) in
   let aware_norepl =
-    go ~label:"ecan aware r1" ~replicas:1 (ecan_backend ~name:"ecan aware r1" b)
+    go ~label:"ecan aware r1" ~replicas:1 (Service.ecan ~name:"ecan aware r1" b)
   in
-  let can_row = go ~label:"can greedy" ~replicas (can_backend ~name:"can greedy" b) in
-  let ring ~salt make = ring_backend ~salt make ~seed oracle b in
+  let can_row = go ~label:"can greedy" ~replicas (Service.can ~name:"can greedy" b) in
+  let ring ~salt make = Service.ring ~salt make ~seed b in
   let chord_row = go ~label:"chord" ~replicas (ring ~salt:1 Backend.chord) in
   let pastry_row = go ~label:"pastry" ~replicas (ring ~salt:2 Backend.pastry) in
   let koorde_row = go ~label:"koorde" ~replicas (ring ~salt:3 (Backend.koorde ?degree:None)) in
   (* Same membership, same homes, same schedule — only the expressway
      tables change, so the latency delta is pure neighbor selection. *)
   Builder.rebuild_tables b Strategy.Random_pick;
-  let random = go ~label:"ecan random" ~replicas (ecan_backend ~name:"ecan random" b) in
+  let random = go ~label:"ecan random" ~replicas (Service.ecan ~name:"ecan random" b) in
   Builder.rebuild_tables b b.Builder.config.Builder.strategy;
   [ aware; random; can_row; chord_row; pastry_row; koorde_row; aware_norepl ]
 

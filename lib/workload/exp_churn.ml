@@ -46,54 +46,31 @@ let mean = function
 (* Convergence oracles                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let ecan_slots ecan node =
-  let acc = ref [] in
-  for row = Ecan_exp.rows ecan node - 1 downto 0 do
-    let own = Ecan_exp.own_digit ecan node ~row in
-    for digit = (1 lsl Ecan_exp.span_bits ecan) - 1 downto 0 do
-      if digit <> own then acc := (row, digit) :: !acc
-    done
-  done;
-  !acc
-
 let ecan_convergence ?(tolerance = 0.02) (b : Builder.t) =
   let ecan = b.Builder.ecan in
   let can = Ecan_exp.can ecan in
-  let ids = Can_overlay.node_ids can in
-  let in_region region target =
-    Can_overlay.mem can target
-    &&
-    let path = (Can_overlay.node can target).Can_overlay.path in
-    Array.length path >= Array.length region
-    && Array.for_all2 ( = ) region (Array.sub path 0 (Array.length region))
-  in
   (* Snapshot the churned tables, rebuild clean, diff, restore. *)
-  let snapshot =
-    Array.map
-      (fun id ->
-        ( id,
-          List.map
-            (fun (row, digit) -> (row, digit, Ecan_exp.entry ecan id ~row ~digit))
-            (ecan_slots ecan id) ))
-      ids
-  in
+  let snapshot = ref [] in
+  Array.iter
+    (fun id ->
+      Ecan_exp.iter_slots ecan id (fun ~row ~digit ->
+          snapshot := (id, row, digit, Ecan_exp.entry ecan id ~row ~digit) :: !snapshot))
+    (Can_overlay.node_ids can);
   Builder.rebuild_tables b b.Builder.config.Builder.strategy;
   let invalid = ref 0 and missing = ref 0 and extra = ref 0 and slots = ref 0 in
-  Array.iter
-    (fun (id, per_slot) ->
-      List.iter
-        (fun (row, digit, churned) ->
-          incr slots;
-          let clean = Ecan_exp.entry ecan id ~row ~digit in
-          (match (churned, clean) with
-          | Some tgt, _ when not (in_region (Ecan_exp.region_prefix ecan id ~row ~digit) tgt) ->
-            incr invalid
-          | None, Some _ -> incr missing
-          | Some _, None -> incr extra
-          | _ -> ());
-          Ecan_exp.set_entry ecan id ~row ~digit churned)
-        per_slot)
-    snapshot;
+  List.iter
+    (fun (id, row, digit, churned) ->
+      incr slots;
+      let clean = Ecan_exp.entry ecan id ~row ~digit in
+      (match (churned, clean) with
+      | Some tgt, _
+        when not (Can_overlay.in_region can (Ecan_exp.region_prefix ecan id ~row ~digit) tgt) ->
+        incr invalid
+      | None, Some _ -> incr missing
+      | Some _, None -> incr extra
+      | _ -> ());
+      Ecan_exp.set_entry ecan id ~row ~digit churned)
+    !snapshot;
   let bad = !invalid + !missing + !extra in
   if float_of_int bad <= tolerance *. float_of_int (max 1 !slots) then Ok ()
   else
@@ -155,6 +132,20 @@ let storm_handler ~faults ~drv ~node_ids ~joiners ~crash ~leave ~join ~expire =
         join newcomer
       end
     | Faults.Expire fraction -> expire fraction
+
+let install_ecan_storm ~faults ~sim ~drv ~storm (b : Builder.t) m =
+  let can = Ecan_exp.can b.Builder.ecan in
+  let handler =
+    storm_handler ~faults ~drv
+      ~node_ids:(fun () -> Can_overlay.node_ids can)
+      ~joiners:(joiners_of b.Builder.oracle ~mem:(Can_overlay.mem can))
+      ~crash:(Maintenance.node_crashes m) ~leave:(Maintenance.node_departs m)
+      ~join:(Maintenance.node_joins m)
+      ~expire:(fun fraction ->
+        let aged = Store.inject_staleness b.Builder.store ~rng:drv ~fraction in
+        Faults.note faults (Printf.sprintf "staleness injected into %d entries" aged))
+  in
+  Faults.install faults ~sim ~plan:(Faults.plan faults storm) ~handler
 
 (* Run the settle window with a convergence probe: a periodic [check]
    that cancels itself — from inside its own callback — the first time
@@ -219,18 +210,7 @@ let ecan_outcomes ?(size = 256) ?(seed = 11) ?(storm = Faults.default_storm)
   Maintenance.enable_liveness_polling m ~period:liveness_period
     ~is_alive:(fun n -> Can_overlay.mem can n) ();
   Maintenance.enable_table_audit m ~period:audit_period ();
-  let drv = Rng.create (seed * 1009 + 3) in
-  let handler =
-    storm_handler ~faults ~drv
-      ~node_ids:(fun () -> Can_overlay.node_ids can)
-      ~joiners:(joiners_of oracle ~mem:(Can_overlay.mem can))
-      ~crash:(Maintenance.node_crashes m) ~leave:(Maintenance.node_departs m)
-      ~join:(Maintenance.node_joins m)
-      ~expire:(fun fraction ->
-        let aged = Store.inject_staleness b.Builder.store ~rng:drv ~fraction in
-        Faults.note faults (Printf.sprintf "staleness injected into %d entries" aged))
-  in
-  Faults.install faults ~sim ~plan:(Faults.plan faults storm) ~handler;
+  install_ecan_storm ~faults ~sim ~drv:(Rng.create (seed * 1009 + 3)) ~storm b m;
   let storm_end = storm.Faults.start +. storm.Faults.spread in
   let ecan_stretch () = (Measure.route_stretch ~pairs:stretch_samples b).Measure.stretch.Prelude.Stats.mean in
   let can_stretch () = (Measure.can_route_report ~pairs:stretch_samples b).Measure.stretch.Prelude.Stats.mean in

@@ -48,6 +48,24 @@ val convergence : ?samples:int -> seed:int -> Backend.t -> (unit, string) result
     membership would fill is filled), and [samples] (default 64) seeded
     random routes all terminate at the key's owner. *)
 
+val joiners_of : Topology.Oracle.t -> mem:(int -> bool) -> int array
+(** Physical nodes outside a membership, in id order: a storm's joiners. *)
+
+val install_ecan_storm :
+  faults:Engine.Faults.t ->
+  sim:Engine.Sim.t ->
+  drv:Prelude.Rng.t ->
+  storm:Engine.Faults.storm ->
+  Core.Builder.t ->
+  Core.Maintenance.t ->
+  unit
+(** Schedule [storm]'s fault plan on [sim] against a maintained eCAN.
+    Crash and leave victims are drawn from [drv] among the current
+    members while more than 8 remain; joiners are the
+    {!joiners_of} the membership at install time, taken in id order;
+    staleness bursts go through {!Softstate.Store.inject_staleness}
+    with [drv].  Every resolution is {!Engine.Faults.note}d. *)
+
 val ecan_outcomes :
   ?size:int ->
   ?seed:int ->

@@ -61,19 +61,13 @@ let run ?(scale = 1) ppf =
   let store = b.Builder.store in
   let vector = Builder.vector_of b joiner in
   let lookup_hops = ref 0 and lookups = ref 0 in
-  for row = 0 to Ecan_exp.rows b.Builder.ecan joiner - 1 do
-    let own = Ecan_exp.own_digit b.Builder.ecan joiner ~row in
-    for digit = 0 to 3 do
-      if digit <> own then begin
-        let region = Ecan_exp.region_prefix b.Builder.ecan joiner ~row ~digit in
-        match Softstate.Store.lookup_route store ~from:joiner ~region ~vector with
-        | Some hops ->
-          incr lookups;
-          lookup_hops := !lookup_hops + List.length hops - 1
-        | None -> ()
-      end
-    done
-  done;
+  Ecan_exp.iter_slots b.Builder.ecan joiner (fun ~row ~digit ->
+      let region = Ecan_exp.region_prefix b.Builder.ecan joiner ~row ~digit in
+      match Softstate.Store.lookup_route store ~from:joiner ~region ~vector with
+      | Some hops ->
+        incr lookups;
+        lookup_hops := !lookup_hops + List.length hops - 1
+      | None -> ());
   Format.fprintf ppf
     "  Soft-state join cost (measured, %d-node overlay): %d RTT probes (landmarks +@.\
     \  per-slot selection), %d map publishes, %d expressway slots filled via@.\

@@ -31,12 +31,9 @@ module Probe = Engine.Probe
 module Repair = Engine.Repair
 module Metrics = Engine.Metrics
 module Trace = Engine.Trace
-module Store = Softstate.Store
 module Bus = Pubsub.Bus
 module Can_overlay = Can.Overlay
 module Ecan_exp = Ecan.Expressway
-module Strategy = Core.Strategy
-module Zone = Geometry.Zone
 module Stats = Prelude.Stats
 module Rng = Prelude.Rng
 
@@ -136,105 +133,6 @@ let schedule ~seed ~subscribers ~joiners ~static_pubs ~churn_pubs ~crashes ~leav
     grid
 
 (* ------------------------------------------------------------------ *)
-(* Backend arms                                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* One row = an Mcast backend plus the row-specific structure upkeep the
-   maintenance plane does not cover (Chord/Pastry keep their own
-   tables). *)
-type arm = {
-  backend : Mcast.backend;
-  on_remove : int -> unit;
-  on_join : int -> unit;
-}
-
-let no_upkeep (_ : int) = ()
-
-(* eCAN / plain CAN: routes from the builder's substrate, relay
-   proposals from a root-region soft-state lookup around the subscriber's
-   landmark vector that skips overloaded hosts, fanout load published
-   back into the maps — [Store.lookup ~max_load] doing the §6 placement
-   work for trees. *)
-let builder_arm ~name ~route b =
-  let can = Ecan_exp.can b.Builder.ecan in
-  let store = b.Builder.store in
-  {
-    backend =
-      {
-        Mcast.name;
-        member = (fun node -> Can_overlay.mem can node);
-        route_to =
-          (fun ~src ~dst ->
-            if not (Can_overlay.mem can dst) then None
-            else route ~src (Zone.center (Can_overlay.node can dst).Can_overlay.zone));
-        candidates =
-          (fun ~node ~exclude ->
-            let vector = Builder.vector_of b node in
-            Store.lookup store ~region:[||] ~vector ~max_results:12 ~ttl:2 ~max_load:0.99 ()
-            |> List.filter_map (fun (e : Store.Entry.t) ->
-                   let c = e.Store.Entry.node in
-                   if c <> node && (not (List.mem c exclude)) && Can_overlay.mem can c then
-                     Some c
-                   else None));
-        publish_load =
-          (fun ~node ~load ->
-            List.iter
-              (fun region -> Store.update_stats store ~region ~node ~load ~capacity:1.0)
-              (Store.regions_of store node));
-      };
-    on_remove = no_upkeep;
-    on_join = no_upkeep;
-  }
-
-let ecan_arm ~name b =
-  builder_arm ~name ~route:(fun ~src p -> Ecan_exp.route b.Builder.ecan ~src p) b
-
-let can_arm ~name b =
-  let can = Ecan_exp.can b.Builder.ecan in
-  builder_arm ~name ~route:(fun ~src p -> Can_overlay.route can ~src p) b
-
-let oracle_candidates oracle ids ~node ~exclude =
-  Array.to_list (ids ())
-  |> List.filter (fun c -> c <> node && not (List.mem c exclude))
-  |> List.map (fun c -> (Oracle.dist oracle node c, c))
-  |> List.sort compare
-  |> List.filteri (fun i _ -> i < 12)
-  |> List.map snd
-
-(* Chord / Pastry / Koorde: same member population, the xover/cache
-   experiments' vector-then-probe neighbor selection for their tables
-   (for Koorde over the ~k-wide image-arc cover sets); they keep their
-   own structure, so churn events rebuild the tables.  With no
-   soft-state plane of their own, relay proposals are the physically
-   nearest members — the optimum a map lookup approximates.  [salt]
-   keeps each overlay's historical id seed. *)
-let ring_arm ~salt make ~seed oracle b =
-  let be : Backend.t = make (Rng.create ((seed * 6007) + salt)) in
-  Array.iter be.add b.Builder.members;
-  let vector_of = Builder.vector_of b in
-  let pick = Strategy.hybrid_pick ~measure:(Oracle.measure oracle) ~vector_of ~rtts:5 in
-  be.rebuild ~pick;
-  {
-    backend =
-      {
-        Mcast.name = be.name;
-        member = be.mem;
-        route_to =
-          (fun ~src ~dst -> if not (be.mem dst) then None else be.route ~src ~key:(be.key_of dst));
-        candidates = oracle_candidates oracle be.node_ids;
-        publish_load = (fun ~node:_ ~load:_ -> ());
-      };
-    on_remove =
-      (fun v ->
-        be.remove v;
-        be.rebuild ~pick);
-    on_join =
-      (fun n ->
-        be.add n;
-        be.rebuild ~pick);
-  }
-
-(* ------------------------------------------------------------------ *)
 (* Driving one row through the shared schedule                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -258,7 +156,7 @@ type stats = {
 
 let probe_cache_ttl = 600_000.0
 
-(* [Ring_row (salt, make)]: a Chord / Pastry / Koorde row, see [ring_arm]. *)
+(* [Ring_row (salt, make)]: a Chord / Pastry / Koorde row, see [Service.ring]. *)
 type kind = Ecan_aware | Ecan_random | Can_greedy | Ring_row of int * (Rng.t -> Backend.t)
 
 let run_row ?metrics ~domains ~scale ~seed ~degree ~subscribers ~events ~label kind =
@@ -295,11 +193,11 @@ let run_row ?metrics ~domains ~scale ~seed ~degree ~subscribers ~events ~label k
   let rtt ~src ~dst =
     match Probe.rtt prober ~src ~dst with Ok r -> Some r | Error _ -> None
   in
-  let arm =
+  let service =
     match kind with
-    | Ecan_aware | Ecan_random -> ecan_arm ~name:label b
-    | Can_greedy -> can_arm ~name:label b
-    | Ring_row (salt, make) -> ring_arm ~salt make ~seed oracle b
+    | Ecan_aware | Ecan_random -> Service.ecan ~name:label b
+    | Can_greedy -> Service.can ~name:label b
+    | Ring_row (salt, make) -> Service.ring ~salt make ~seed b
   in
   let policy = match kind with Ecan_random -> Mcast.Random | _ -> Mcast.Aware in
   let tree =
@@ -307,7 +205,8 @@ let run_row ?metrics ~domains ~scale ~seed ~degree ~subscribers ~events ~label k
       ~clock:(fun () -> Sim.now sim)
       ~rtt
       ~config:{ Mcast.degree; policy; seed = (seed * 3307) + 5 }
-      ~link:(Oracle.dist oracle) ~root:b.Builder.members.(0) arm.backend
+      ~link:(Oracle.dist oracle) ~root:b.Builder.members.(0)
+      (Service.mcast_backend service)
   in
   (* Detection wiring: every tree node watches its parent's root-region
      entry on the bus.  The watch firing is the instant the soft-state
@@ -385,17 +284,17 @@ let run_row ?metrics ~domains ~scale ~seed ~degree ~subscribers ~events ~label k
       end
     | Crash v ->
       Maintenance.node_crashes m v;
-      arm.on_remove v;
+      service.on_remove v;
       ignore (Mcast.drop_member tree v);
       sync_watches ()
     | Leave v ->
       Maintenance.node_departs m v;
-      arm.on_remove v;
+      service.on_remove v;
       ignore (Mcast.drop_member tree v);
       sync_watches ()
     | Join n ->
       Maintenance.node_joins m n;
-      arm.on_join n;
+      service.on_join n;
       Mcast.subscribe tree n;
       sync_watches ()
   in
@@ -455,14 +354,7 @@ let data ?(scale = 1) ?(seed = 42) ?group_size ?(degree = 3) ?policy ?(domains =
       }
   in
   let members = b0.Builder.members in
-  let member_set = Hashtbl.create size in
-  Array.iter (fun n -> Hashtbl.replace member_set n ()) members;
-  let joiners =
-    Array.of_seq
-      (Seq.filter
-         (fun i -> not (Hashtbl.mem member_set i))
-         (Seq.init (Oracle.node_count oracle) (fun i -> i)))
-  in
+  let joiners = Exp_churn.joiners_of oracle ~mem:(Can_overlay.mem (Ecan_exp.can b0.Builder.ecan)) in
   let subscribers = Array.to_list (Array.sub members 1 group_size) in
   let events =
     schedule ~seed ~subscribers ~joiners ~static_pubs ~churn_pubs ~crashes ~leaves ~joins

@@ -31,7 +31,14 @@ let test_digits () =
         let d = Ecan.own_digit e id ~row in
         let expect = (n.Can_overlay.path.(2 * row) * 2) + n.Can_overlay.path.((2 * row) + 1) in
         Alcotest.(check int) "digit packs two bits" expect d
-      done)
+      done;
+      (* iter_slots: every sibling slot of every row, never the own digit *)
+      let visited = ref 0 in
+      Ecan.iter_slots e id (fun ~row ~digit ->
+          incr visited;
+          Alcotest.(check bool) "row in range" true (row >= 0 && row < Ecan.rows e id);
+          Alcotest.(check bool) "skips the own digit" true (digit <> Ecan.own_digit e id ~row));
+      Alcotest.(check int) "rows * (fan - 1) slots" (Ecan.rows e id * 3) !visited)
     (Can_overlay.node_ids t)
 
 let test_region_prefix () =

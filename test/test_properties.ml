@@ -218,7 +218,10 @@ let qcheck_can_prefix_membership_bruteforce =
                && Array.for_all2 ( = ) prefix (Array.sub path 0 plen))
              (Array.to_list (Can_overlay.node_ids t)))
       in
-      fast = brute)
+      fast = brute
+      && Array.for_all
+           (fun id -> Can_overlay.in_region t prefix id = List.mem id brute)
+           (Array.init (n + 2) (fun id -> id)))
 
 let qcheck_chord_arc_bruteforce =
   QCheck.Test.make ~name:"arc_members = brute-force key scan" ~count:30

@@ -117,7 +117,16 @@ let test_publish_all_regions () =
       let path = (Can_overlay.node can node).Can_overlay.path in
       Alcotest.(check bool) "prefix of the node's path" true
         (Array.for_all2 ( = ) region (Array.sub path 0 len)))
-    regions
+    regions;
+  (* enclosing_regions: root first, one digit deeper per step, and the
+     same set publish_all wrote *)
+  let path = (Can_overlay.node can node).Can_overlay.path in
+  let enclosing = Store.enclosing_regions ~span_bits:2 path in
+  Alcotest.(check (list int)) "root-first, span_bits apart"
+    (List.init ((path_len / 2) + 1) (fun i -> 2 * i))
+    (List.map Array.length enclosing);
+  Alcotest.(check (list (array int))) "equals regions_of after publish_all"
+    (List.sort compare regions) (List.sort compare enclosing)
 
 let test_lookup_finds_closest () =
   let store, _, _, rng = setup ~n:60 ~seed:8 () in
