@@ -148,7 +148,9 @@ let qcheck_workspace_reuse_is_pure =
 (* The fixtures are `bench --only NAME --scale 16 --json` dumps, each
    captured before a refactor that had to keep it (storm/churn/cache/
    repair/domains before the CSR/flat-oracle/bucket-store pass, mcast and
-   degree before the storm-driver/service-adapter merge).  Those changes
+   degree before the storm-driver/service-adapter merge, fig2 and xover
+   before the shared route-recorder/identifier-ring/bucket-index pass).
+   Those changes
    are gated on not changing a single metrics byte, so each experiment is
    replayed through the same harness test_domains uses and compared
    byte-for-byte. *)
@@ -193,4 +195,4 @@ let suite =
   @ List.map
       (fun name ->
         Alcotest.test_case ("fixture identity: " ^ name) `Slow (test_fixture_identity name))
-      [ "storm"; "churn"; "cache"; "repair"; "domains"; "mcast"; "degree" ]
+      [ "storm"; "churn"; "cache"; "repair"; "domains"; "mcast"; "degree"; "fig2"; "xover" ]
