@@ -1,5 +1,6 @@
 module Zone = Geometry.Zone
 module Point = Geometry.Point
+module Multimap = Prelude.Multimap
 
 type node = {
   id : int;
@@ -8,21 +9,14 @@ type node = {
   mutable neighbors : int list;
 }
 
-type obs = {
-  requests : Engine.Metrics.counter;
-  failures : Engine.Metrics.counter;
-  hops : Engine.Metrics.histogram;
-  join_hops : Engine.Metrics.histogram;
-  tracer : Engine.Trace.t option;
-}
-
 type t = {
   dims : int;
   nodes : (int, node) Hashtbl.t;
   by_path : (int, int) Hashtbl.t;  (* exact path key -> owner id *)
-  prefix_members : (int, int list ref) Hashtbl.t;  (* prefix key -> member ids *)
+  prefix_members : int Multimap.t;  (* prefix key -> member ids *)
   mutable rep : int;  (* arbitrary live member, default routing start *)
-  obs : obs option;
+  obs : Engine.Route_obs.t option;
+  join_hops : Engine.Metrics.histogram option;
 }
 
 let max_depth = 60
@@ -48,69 +42,30 @@ let zone_of_path ~dims bits =
 let index_add t n =
   Hashtbl.replace t.by_path (path_key n.path (Array.length n.path)) n.id;
   for len = 0 to Array.length n.path do
-    let key = path_key n.path len in
-    match Hashtbl.find_opt t.prefix_members key with
-    | Some l -> l := n.id :: !l
-    | None -> Hashtbl.replace t.prefix_members key (ref [ n.id ])
+    Multimap.add t.prefix_members (path_key n.path len) n.id
   done
 
 let index_remove t n =
   Hashtbl.remove t.by_path (path_key n.path (Array.length n.path));
   for len = 0 to Array.length n.path do
-    let key = path_key n.path len in
-    match Hashtbl.find_opt t.prefix_members key with
-    | Some l ->
-      l := List.filter (fun id -> id <> n.id) !l;
-      if !l = [] then Hashtbl.remove t.prefix_members key
-    | None -> ()
+    Multimap.remove t.prefix_members (path_key n.path len) (fun id -> id = n.id)
   done
 
-let make_obs ?metrics ?(labels = []) ?trace ~overlay () =
-  Option.map
-    (fun m ->
-      let labels = ("overlay", overlay) :: labels in
-      {
-        requests = Engine.Metrics.counter m ~labels "route_requests";
-        failures = Engine.Metrics.counter m ~labels "route_failures";
-        hops = Engine.Metrics.histogram m ~labels "route_hops";
-        join_hops = Engine.Metrics.histogram m ~labels "join_hops";
-        tracer = trace;
-      })
-    metrics
-
-(* Account one finished [route] call: hop histogram + per-hop spans on
-   success, a failure counter otherwise.  Identity on the result. *)
-let observe_route t result =
-  (match t.obs with
-  | None -> ()
-  | Some o ->
-    Engine.Metrics.incr o.requests;
-    (match result with
-    | Some hops ->
-      Engine.Metrics.observe o.hops (float_of_int (List.length hops - 1));
-      Option.iter
-        (fun tr ->
-          let rec go = function
-            | a :: (b :: _ as rest) ->
-              Engine.Trace.emit tr ~peer:b Engine.Trace.Route_hop ~node:a;
-              go rest
-            | [ _ ] | [] -> ()
-          in
-          go hops)
-        o.tracer
-    | None -> Engine.Metrics.incr o.failures));
-  result
-
-let create ?metrics ?labels ?trace ~dims first =
+let create ?metrics ?(labels = []) ?trace ~dims first =
   if dims < 1 then invalid_arg "Can.create: dims must be >= 1";
   let t =
     {
       dims;
       nodes = Hashtbl.create 64;
       by_path = Hashtbl.create 64;
-      prefix_members = Hashtbl.create 64;
+      prefix_members = Multimap.create 64;
       rep = first;
-      obs = make_obs ?metrics ?labels ?trace ~overlay:"can" ();
+      obs = Engine.Route_obs.create ?metrics ~labels ?trace ~overlay:"can" ();
+      join_hops =
+        Option.map
+          (fun m ->
+            Engine.Metrics.histogram m ~labels:(("overlay", "can") :: labels) "join_hops")
+          metrics;
     }
   in
   let n = { id = first; zone = Zone.full dims; path = [||]; neighbors = [] } in
@@ -211,7 +166,9 @@ let route_uninstrumented t ~src point =
 
 let route t ~src point =
   if Array.length point <> t.dims then invalid_arg "Can.route: dimension mismatch";
-  observe_route t (route_uninstrumented t ~src point)
+  let result = route_uninstrumented t ~src point in
+  Engine.Route_obs.record t.obs result;
+  result
 
 let route_proximity t ~dist ~src point =
   if Array.length point <> t.dims then invalid_arg "Can.route_proximity: dimension mismatch";
@@ -272,8 +229,8 @@ let join t ?start id point =
     | None -> failwith "Can.join: routing failed"
   in
   Option.iter
-    (fun o -> Engine.Metrics.observe o.join_hops (float_of_int (List.length hops - 1)))
-    t.obs;
+    (fun h -> Engine.Metrics.observe h (float_of_int (List.length hops - 1)))
+    t.join_hops;
   let owner = node t (List.nth hops (List.length hops - 1)) in
   let depth = Array.length owner.path in
   if depth >= max_depth then failwith "Can.join: max split depth exceeded";
@@ -411,9 +368,10 @@ let leave t id =
   end
 
 let members_with_prefix t bits =
-  match Hashtbl.find_opt t.prefix_members (path_key bits (Array.length bits)) with
-  | Some l -> Array.of_list !l
-  | None -> [||]
+  if Array.length bits > max_depth then invalid_arg "Can.members_with_prefix: prefix too long";
+  if Array.exists (fun b -> b <> 0 && b <> 1) bits then
+    invalid_arg "Can.members_with_prefix: bits must be 0 or 1";
+  Array.of_list (Multimap.find t.prefix_members (path_key bits (Array.length bits)))
 
 let in_region t prefix id =
   match Hashtbl.find_opt t.nodes id with

@@ -34,11 +34,9 @@ val create :
 (** [create ~dims first] starts an overlay whose sole member [first] owns
     the entire space.
 
-    With [metrics], the overlay maintains [route_requests] /
-    [route_failures] counters and [route_hops] / [join_hops] histograms,
-    labeled [overlay=can] plus any extra [labels].  With [trace], every
-    successful {!route} additionally emits one [Route_hop] span per
-    forwarding step. *)
+    [metrics], [labels] and [trace] feed {!Engine.Route_obs} under
+    [overlay=can]; with [metrics], {!join} also records its walk in a
+    [join_hops] histogram with the same labels. *)
 
 val dims : t -> int
 val size : t -> int
@@ -99,7 +97,8 @@ val zone_of_path : dims:int -> int array -> Geometry.Zone.t
 
 val members_with_prefix : t -> int array -> int array
 (** Members whose path starts with the given bits (the population of a
-    high-order zone).  O(result). *)
+    high-order zone).  O(result).  Raises [Invalid_argument] on a bit
+    other than 0 or 1 or a prefix longer than {!max_depth}. *)
 
 val in_region : t -> int array -> int -> bool
 (** [in_region t prefix id]: [id] is a member and its path starts with

@@ -1,178 +1,66 @@
-module Rng = Prelude.Rng
+module Id_ring = Prelude.Id_ring
 
 type node_state = { id : int; key : int; mutable fingers : int option array }
 
-type obs = {
-  requests : Engine.Metrics.counter;
-  failures : Engine.Metrics.counter;
-  hops : Engine.Metrics.histogram;
-  tracer : Engine.Trace.t option;
-}
-
-type t = {
-  key_bits : int;
-  ring : int;  (* 2^key_bits *)
-  nodes : (int, node_state) Hashtbl.t;
-  keys : (int, int) Hashtbl.t;  (* ring key -> node id *)
-  mutable sorted : (int * int) array;  (* (key, id), sorted by key *)
-  mutable dirty : bool;
-  obs : obs option;
-}
+type t = { ring : node_state Id_ring.t; obs : Engine.Route_obs.t option }
 
 type selector = node:int -> arc:int * int -> candidates:int array -> int option
 
-let create ?metrics ?(labels = []) ?trace ?(key_bits = 30) () =
+let create ?metrics ?labels ?trace ?(key_bits = 30) () =
   if key_bits < 4 || key_bits > 50 then invalid_arg "Chord.create: key_bits out of [4,50]";
-  let obs =
-    Option.map
-      (fun m ->
-        let labels = ("overlay", "chord") :: labels in
-        {
-          requests = Engine.Metrics.counter m ~labels "route_requests";
-          failures = Engine.Metrics.counter m ~labels "route_failures";
-          hops = Engine.Metrics.histogram m ~labels "route_hops";
-          tracer = trace;
-        })
-      metrics
-  in
   {
-    key_bits;
-    ring = 1 lsl key_bits;
-    nodes = Hashtbl.create 64;
-    keys = Hashtbl.create 64;
-    sorted = [||];
-    dirty = false;
-    obs;
+    ring = Id_ring.create ~bits:key_bits ~key:(fun n -> n.key);
+    obs = Engine.Route_obs.create ?metrics ?labels ?trace ~overlay:"chord" ();
   }
 
-let key_bits t = t.key_bits
-let size t = Hashtbl.length t.nodes
-let mem t id = Hashtbl.mem t.nodes id
+let key_bits t = Id_ring.bits t.ring
+let size t = Id_ring.size t.ring
+let mem t id = Id_ring.mem t.ring id
 
 let node t id =
-  match Hashtbl.find_opt t.nodes id with
+  match Id_ring.find_opt t.ring id with
   | Some n -> n
   | None -> invalid_arg "Chord: not a member"
 
 let key_of t id = (node t id).key
-
-let node_ids t =
-  let arr = Array.make (size t) 0 in
-  let i = ref 0 in
-  Hashtbl.iter
-    (fun id _ ->
-      arr.(!i) <- id;
-      incr i)
-    t.nodes;
-  arr
-
-let index t =
-  if t.dirty then begin
-    let arr = Array.make (size t) (0, 0) in
-    let i = ref 0 in
-    Hashtbl.iter
-      (fun id n ->
-        arr.(!i) <- (n.key, id);
-        incr i)
-      t.nodes;
-    Array.sort compare arr;
-    t.sorted <- arr;
-    t.dirty <- false
-  end;
-  t.sorted
+let node_ids t = Id_ring.node_ids t.ring
 
 let add_node t ~rng id =
   if mem t id then invalid_arg "Chord.add_node: already a member";
-  let rec fresh_key () =
-    let k = Rng.int rng t.ring in
-    if Hashtbl.mem t.keys k then fresh_key () else k
-  in
-  let key = fresh_key () in
-  Hashtbl.replace t.nodes id { id; key; fingers = Array.make t.key_bits None };
-  Hashtbl.replace t.keys key id;
-  t.dirty <- true
+  Id_ring.add t.ring ~rng id (fun key -> { id; key; fingers = Array.make (key_bits t) None })
 
 let remove_node t id =
-  let n = node t id in
-  Hashtbl.remove t.nodes id;
-  Hashtbl.remove t.keys n.key;
-  t.dirty <- true;
-  Hashtbl.iter
+  Id_ring.remove t.ring id;
+  Id_ring.iter
     (fun _ other ->
       Array.iteri
         (fun i -> function Some f when f = id -> other.fingers.(i) <- None | _ -> ())
         other.fingers)
-    t.nodes
+    t.ring
 
-(* First member at ring position >= key (clockwise), wrapping. *)
-let successor_node t key =
-  let arr = index t in
-  let n = Array.length arr in
-  if n = 0 then failwith "Chord.successor_node: empty ring";
-  let key = ((key mod t.ring) + t.ring) mod t.ring in
-  (* binary search for the first entry with fst >= key *)
-  let lo = ref 0 and hi = ref n in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if fst arr.(mid) >= key then hi := mid else lo := mid + 1
-  done;
-  snd arr.(if !lo = n then 0 else !lo)
-
-let arc_members t ~lo ~span =
-  if span <= 0 then [||]
-  else begin
-    let arr = index t in
-    let n = Array.length arr in
-    if n = 0 then [||]
-    else begin
-      let lo = ((lo mod t.ring) + t.ring) mod t.ring in
-      let first_geq key =
-        let a = ref 0 and b = ref n in
-        while !a < !b do
-          let mid = (!a + !b) / 2 in
-          if fst arr.(mid) >= key then b := mid else a := mid + 1
-        done;
-        !a
-      in
-      let collect lo hi =
-        (* members with key in [lo, hi) where lo <= hi, no wrap *)
-        let start = first_geq lo and stop = first_geq hi in
-        Array.to_list (Array.sub arr start (stop - start))
-      in
-      let members =
-        if lo + span <= t.ring then collect lo (lo + span)
-        else collect lo t.ring @ collect 0 (lo + span - t.ring)
-      in
-      Array.of_list (List.map snd members)
-    end
-  end
+let successor_node t key = Id_ring.successor t.ring key
+let arc_members t ~lo ~span = Id_ring.arc_members t.ring ~lo ~span
+let clockwise t from target = Id_ring.clockwise t.ring from target
+let between_oc t a b x = Id_ring.between_oc t.ring a b x
 
 let build_fingers t ~selector =
-  Hashtbl.iter
+  Id_ring.iter
     (fun id n ->
-      n.fingers <- Array.make t.key_bits None;
-      for i = 0 to t.key_bits - 1 do
+      n.fingers <- Array.make (key_bits t) None;
+      for i = 0 to key_bits t - 1 do
         let span = 1 lsl i in
-        let lo = (n.key + span) mod t.ring in
+        let lo = (n.key + span) mod Id_ring.space t.ring in
         let candidates = arc_members t ~lo ~span in
         let candidates = Array.of_seq (Seq.filter (fun c -> c <> id) (Array.to_seq candidates)) in
         if Array.length candidates > 0 then n.fingers.(i) <- selector ~node:id ~arc:(lo, span) ~candidates
       done)
-    t.nodes
+    t.ring
 
 let fingers t id =
   let n = node t id in
   let acc = ref [] in
   Array.iteri (fun i -> function Some f -> acc := (i, f) :: !acc | None -> ()) n.fingers;
   List.rev !acc
-
-(* x in (a, b] on the ring; the whole ring when a = b. *)
-let between_oc t a b x =
-  let norm v = ((v mod t.ring) + t.ring) mod t.ring in
-  let a = norm a and b = norm b and x = norm x in
-  if a = b then true else if a < b then a < x && x <= b else x > a || x <= b
-
-let clockwise t from target = ((target - from) mod t.ring + t.ring) mod t.ring
 
 let route t ~src ~key =
   if not (mem t src) then invalid_arg "Chord.route: source not a member";
@@ -204,24 +92,7 @@ let route t ~src ~key =
     end
   in
   let result = go (node t src) [] (4 * size t) in
-  (match t.obs with
-  | None -> ()
-  | Some o ->
-    Engine.Metrics.incr o.requests;
-    (match result with
-    | Some hops ->
-      Engine.Metrics.observe o.hops (float_of_int (List.length hops - 1));
-      Option.iter
-        (fun tr ->
-          let rec spans = function
-            | a :: (b :: _ as rest) ->
-              Engine.Trace.emit tr ~peer:b Engine.Trace.Route_hop ~node:a;
-              spans rest
-            | [ _ ] | [] -> ()
-          in
-          spans hops)
-        o.tracer
-    | None -> Engine.Metrics.incr o.failures));
+  Engine.Route_obs.record t.obs result;
   result
 
 let check_invariants t =
@@ -238,7 +109,7 @@ let check_invariants t =
           else err "node %d is not the successor of its own key" id
         in
         let rec check_fingers i =
-          if i >= t.key_bits then Ok ()
+          if i >= key_bits t then Ok ()
           else begin
             match n.fingers.(i) with
             | None -> check_fingers (i + 1)
@@ -246,7 +117,7 @@ let check_invariants t =
               if not (mem t f) then err "node %d finger %d points at dead node %d" id i f
               else begin
                 let span = 1 lsl i in
-                let lo = (n.key + span) mod t.ring in
+                let lo = (n.key + span) mod Id_ring.space t.ring in
                 let fk = key_of t f in
                 let inside = clockwise t lo fk < span in
                 if inside then check_fingers (i + 1)

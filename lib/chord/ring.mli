@@ -23,19 +23,16 @@ val create :
   ?key_bits:int ->
   unit ->
   t
-(** Empty ring; [key_bits] defaults to 30.
-
-    With [metrics], {!route} maintains [route_requests] /
-    [route_failures] counters and a [route_hops] histogram labeled
-    [overlay=chord] plus any extra [labels].  With [trace], successful
-    routes emit one [Route_hop] span per forwarding step. *)
+(** Empty ring; [key_bits] defaults to 30.  [metrics], [labels] and
+    [trace] feed {!Engine.Route_obs} under [overlay=chord]. *)
 
 val key_bits : t -> int
 val size : t -> int
 
 val add_node : t -> rng:Prelude.Rng.t -> int -> unit
 (** Add a member under a fresh random ring key.  Raises
-    [Invalid_argument] if the node is already a member. *)
+    [Invalid_argument] if the node is already a member or every key is
+    taken. *)
 
 val remove_node : t -> int -> unit
 (** Remove a member.  Its fingers disappear; other members' fingers that
@@ -53,6 +50,9 @@ val successor_node : t -> int -> int
 
 val arc_members : t -> lo:int -> span:int -> int array
 (** Members whose ring keys fall in [[lo, lo+span)] (mod ring size). *)
+
+val clockwise : t -> int -> int -> int
+(** [clockwise t from target]: clockwise ring distance. *)
 
 val build_fingers : t -> selector:selector -> unit
 (** (Re)build every member's finger table with the given selection

@@ -18,6 +18,7 @@ module type RING = sig
   val size : t -> int
   val key_of : t -> int -> int
   val successor_node : t -> int -> int
+  val clockwise : t -> int -> int -> int
 end
 
 type entry = {
@@ -74,6 +75,8 @@ module type S = sig
 end
 
 module Make (R : RING) : S with type overlay = R.t = struct
+  module Multimap = Prelude.Multimap
+
   type overlay = R.t
 
   type nonrec entry = entry = {
@@ -86,12 +89,12 @@ module Make (R : RING) : S with type overlay = R.t = struct
   type t = {
     ring : R.t;
     scheme : Landmark.Number.scheme;
-    by_host : (int, entry list ref) Hashtbl.t;
+    by_host : entry Multimap.t;
     by_node : (int, entry) Hashtbl.t;
   }
 
   let create ~scheme ring =
-    { ring; scheme; by_host = Hashtbl.create 64; by_node = Hashtbl.create 64 }
+    { ring; scheme; by_host = Multimap.create 64; by_node = Hashtbl.create 64 }
 
   let store_key_of t vector =
     let u = Landmark.Number.to_unit t.scheme (Landmark.Number.number t.scheme vector) in
@@ -101,23 +104,11 @@ module Make (R : RING) : S with type overlay = R.t = struct
 
   let host_of t key = R.successor_node t.ring key
 
-  let host_add t host entry =
-    match Hashtbl.find_opt t.by_host host with
-    | Some l -> l := entry :: !l
-    | None -> Hashtbl.replace t.by_host host (ref [ entry ])
-
-  let host_remove t host entry =
-    match Hashtbl.find_opt t.by_host host with
-    | Some l ->
-      l := List.filter (fun e -> e.node <> entry.node) !l;
-      if !l = [] then Hashtbl.remove t.by_host host
-    | None -> ()
-
   let unpublish t node =
     match Hashtbl.find_opt t.by_node node with
     | Some e ->
       Hashtbl.remove t.by_node node;
-      host_remove t (host_of t e.store_key) e
+      Multimap.remove t.by_host (host_of t e.store_key) (fun x -> x.node = e.node)
     | None -> ()
 
   let publish t ~node ~vector =
@@ -127,19 +118,13 @@ module Make (R : RING) : S with type overlay = R.t = struct
     let number = Landmark.Number.number t.scheme vector in
     let e = { node; vector = Array.copy vector; number; store_key } in
     Hashtbl.replace t.by_node node e;
-    host_add t (host_of t store_key) e
+    Multimap.add t.by_host (host_of t store_key) e
 
   let rehome t =
-    Hashtbl.reset t.by_host;
-    Hashtbl.iter (fun _ e -> host_add t (host_of t e.store_key) e) t.by_node
+    Multimap.reset t.by_host;
+    Hashtbl.iter (fun _ e -> Multimap.add t.by_host (host_of t e.store_key) e) t.by_node
 
-  let entries_at t host =
-    match Hashtbl.find_opt t.by_host host with Some l -> !l | None -> []
-
-  let in_arc t ~lo ~span key =
-    let ring_size = 1 lsl R.key_bits t.ring in
-    let d = ((key - lo) mod ring_size + ring_size) mod ring_size in
-    d < span
+  let entries_at t host = Multimap.find t.by_host host
 
   let lookup t ~vector ?in_arc:arc ?(max_results = 16) ?(ttl = 32) () =
     if R.size t.ring = 0 then []
@@ -147,7 +132,7 @@ module Make (R : RING) : S with type overlay = R.t = struct
       let accepts e =
         match arc with
         | None -> true
-        | Some (lo, span) -> in_arc t ~lo ~span (R.key_of t.ring e.node)
+        | Some (lo, span) -> R.clockwise t.ring lo (R.key_of t.ring e.node) < span
       in
       let collected = ref [] in
       let count = ref 0 in

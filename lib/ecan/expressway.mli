@@ -31,11 +31,8 @@ val create :
 (** Wrap a CAN overlay; [span_bits] (default 2, i.e. k = 4 zones per
     higher-order zone) is the number of path bits per routing digit.
 
-    With [metrics], expressway routing maintains [route_requests] /
-    [route_failures] counters and a [route_hops] histogram labeled
-    [overlay=ecan] plus any extra [labels] (independent of the wrapped
-    CAN's own instruments).  With [trace], successful routes emit one
-    [Route_hop] span per forwarding step. *)
+    [metrics], [labels] and [trace] feed {!Engine.Route_obs} under
+    [overlay=ecan], independent of the wrapped CAN's own instruments. *)
 
 val can : t -> Can.Overlay.t
 val span_bits : t -> int

@@ -1,4 +1,4 @@
-module Rng = Prelude.Rng
+module Id_ring = Prelude.Id_ring
 
 type node_state = {
   id : int;
@@ -9,24 +9,12 @@ type node_state = {
   mutable preferred : int option;  (* policy-chosen entry among [cover] *)
 }
 
-type obs = {
-  requests : Engine.Metrics.counter;
-  failures : Engine.Metrics.counter;
-  hops : Engine.Metrics.histogram;
-  tracer : Engine.Trace.t option;
-}
-
 type t = {
-  key_bits : int;
   degree : int;
   digit_bits : int;  (* log2 degree *)
   digits : int;  (* key_bits / digit_bits *)
-  ring : int;  (* 2^key_bits *)
-  nodes : (int, node_state) Hashtbl.t;
-  keys : (int, int) Hashtbl.t;  (* ring key -> node id *)
-  mutable sorted : (int * int) array;  (* (key, id), sorted by key *)
-  mutable dirty : bool;
-  obs : obs option;
+  ring : node_state Id_ring.t;
+  obs : Engine.Route_obs.t option;
 }
 
 type selector = node:int -> arc:int * int -> candidates:int array -> int option
@@ -37,179 +25,82 @@ let log2i v =
   let rec go acc v = if v <= 1 then acc else go (acc + 1) (v lsr 1) in
   go 0 v
 
-let create ?metrics ?(labels = []) ?trace ?(key_bits = 24) ?(degree = 2) () =
+let create ?metrics ?labels ?trace ?(key_bits = 24) ?(degree = 2) () =
   if key_bits < 3 || key_bits > 48 then invalid_arg "Koorde.create: key_bits out of [3,48]";
   if degree < 2 || degree > 64 || not (is_pow2 degree) then
     invalid_arg "Koorde.create: degree must be a power of two in [2,64]";
   let digit_bits = log2i degree in
   if key_bits mod digit_bits <> 0 then
     invalid_arg "Koorde.create: key_bits must be a multiple of log2 degree";
-  let obs =
-    Option.map
-      (fun m ->
-        let labels = ("overlay", "koorde") :: labels in
-        {
-          requests = Engine.Metrics.counter m ~labels "route_requests";
-          failures = Engine.Metrics.counter m ~labels "route_failures";
-          hops = Engine.Metrics.histogram m ~labels "route_hops";
-          tracer = trace;
-        })
-      metrics
-  in
   {
-    key_bits;
     degree;
     digit_bits;
     digits = key_bits / digit_bits;
-    ring = 1 lsl key_bits;
-    nodes = Hashtbl.create 64;
-    keys = Hashtbl.create 64;
-    sorted = [||];
-    dirty = false;
-    obs;
+    ring = Id_ring.create ~bits:key_bits ~key:(fun n -> n.key);
+    obs = Engine.Route_obs.create ?metrics ?labels ?trace ~overlay:"koorde" ();
   }
 
-let key_bits t = t.key_bits
+let key_bits t = Id_ring.bits t.ring
 let degree t = t.degree
-let size t = Hashtbl.length t.nodes
-let mem t id = Hashtbl.mem t.nodes id
+let size t = Id_ring.size t.ring
+let mem t id = Id_ring.mem t.ring id
 
 let node t id =
-  match Hashtbl.find_opt t.nodes id with
+  match Id_ring.find_opt t.ring id with
   | Some n -> n
   | None -> invalid_arg "Koorde: not a member"
 
 let key_of t id = (node t id).key
-
-let node_ids t =
-  let arr = Array.make (size t) 0 in
-  let i = ref 0 in
-  Hashtbl.iter
-    (fun id _ ->
-      arr.(!i) <- id;
-      incr i)
-    t.nodes;
-  arr
-
-let index t =
-  if t.dirty then begin
-    let arr = Array.make (size t) (0, 0) in
-    let i = ref 0 in
-    Hashtbl.iter
-      (fun id n ->
-        arr.(!i) <- (n.key, id);
-        incr i)
-      t.nodes;
-    Array.sort compare arr;
-    t.sorted <- arr;
-    t.dirty <- false
-  end;
-  t.sorted
+let node_ids t = Id_ring.node_ids t.ring
+let make id key = { id; key; cover = [||]; preferred = None }
 
 let add_node_at t id ~key =
   if mem t id then invalid_arg "Koorde.add_node_at: already a member";
-  if key < 0 || key >= t.ring then invalid_arg "Koorde.add_node_at: key out of range";
-  if Hashtbl.mem t.keys key then invalid_arg "Koorde.add_node_at: key taken";
-  Hashtbl.replace t.nodes id { id; key; cover = [||]; preferred = None };
-  Hashtbl.replace t.keys key id;
-  t.dirty <- true
+  Id_ring.add_at t.ring id ~key (make id)
 
 let add_node t ~rng id =
   if mem t id then invalid_arg "Koorde.add_node: already a member";
-  let rec fresh_key () =
-    let k = Rng.int rng t.ring in
-    if Hashtbl.mem t.keys k then fresh_key () else k
-  in
-  add_node_at t id ~key:(fresh_key ())
+  Id_ring.add t.ring ~rng id (make id)
 
 let remove_node t id =
-  let n = node t id in
-  Hashtbl.remove t.nodes id;
-  Hashtbl.remove t.keys n.key;
-  t.dirty <- true;
-  Hashtbl.iter
+  Id_ring.remove t.ring id;
+  Id_ring.iter
     (fun _ other ->
       if Array.exists (fun c -> c = id) other.cover then
         other.cover <- Array.of_seq (Seq.filter (fun c -> c <> id) (Array.to_seq other.cover));
       match other.preferred with Some p when p = id -> other.preferred <- None | _ -> ())
-    t.nodes
+    t.ring
 
-let first_geq arr key =
-  let n = Array.length arr in
-  let a = ref 0 and b = ref n in
-  while !a < !b do
-    let mid = (!a + !b) / 2 in
-    if fst arr.(mid) >= key then b := mid else a := mid + 1
-  done;
-  !a
-
-(* First member at ring position >= key (clockwise), wrapping. *)
-let successor_node t key =
-  let arr = index t in
-  let n = Array.length arr in
-  if n = 0 then failwith "Koorde.successor_node: empty ring";
-  let key = ((key mod t.ring) + t.ring) mod t.ring in
-  let i = first_geq arr key in
-  snd arr.(if i = n then 0 else i)
+let successor_node t key = Id_ring.successor t.ring key
 
 (* Member whose domain (own key, successor key] contains [pos] — the node
    responsible for hosting imaginary position [pos] on its way to the
    owner.  This is the predecessor of [successor_node pos]. *)
-let charge_node t pos =
-  let arr = index t in
-  let n = Array.length arr in
-  if n = 0 then failwith "Koorde.charge_node: empty ring";
-  let pos = ((pos mod t.ring) + t.ring) mod t.ring in
-  let i = first_geq arr pos in
-  snd arr.((i - 1 + n) mod n)
+let charge_node t pos = Id_ring.predecessor t.ring pos
 
-let arc_members t ~lo ~span =
-  if span <= 0 then [||]
-  else begin
-    let arr = index t in
-    let n = Array.length arr in
-    if n = 0 then [||]
-    else begin
-      let lo = ((lo mod t.ring) + t.ring) mod t.ring in
-      let collect lo hi =
-        (* members with key in [lo, hi) where lo <= hi, no wrap *)
-        let start = first_geq arr lo and stop = first_geq arr hi in
-        Array.to_list (Array.sub arr start (stop - start))
-      in
-      let members =
-        if lo + span <= t.ring then collect lo (lo + span)
-        else collect lo t.ring @ collect 0 (lo + span - t.ring)
-      in
-      Array.of_list (List.map snd members)
-    end
-  end
-
-(* x in (a, b] on the ring; the whole ring when a = b. *)
-let between_oc t a b x =
-  let norm v = ((v mod t.ring) + t.ring) mod t.ring in
-  let a = norm a and b = norm b and x = norm x in
-  if a = b then true else if a < b then a < x && x <= b else x > a || x <= b
-
-let clockwise t from target = ((target - from) mod t.ring + t.ring) mod t.ring
+let arc_members t ~lo ~span = Id_ring.arc_members t.ring ~lo ~span
+let space t = Id_ring.space t.ring
+let clockwise t from target = Id_ring.clockwise t.ring from target
+let between_oc t a b x = Id_ring.between_oc t.ring a b x
 
 (* Length of [id]'s domain (own key, successor key]; the whole ring for a
    singleton. *)
 let domain_span t n =
-  if size t = 1 then t.ring
+  if size t = 1 then space t
   else begin
     let succ = successor_node t (n.key + 1) in
     let l = clockwise t n.key (key_of t succ) in
-    if l = 0 then t.ring else l
+    if l = 0 then space t else l
   end
 
 let image_arc t id =
   let n = node t id in
-  let lo = t.degree * ((n.key + 1) mod t.ring) mod t.ring in
-  let span = min t.ring (t.degree * domain_span t n) in
+  let lo = t.degree * ((n.key + 1) mod space t) mod space t in
+  let span = min (space t) (t.degree * domain_span t n) in
   (lo, span)
 
 let build_fingers t ~selector =
-  Hashtbl.iter
+  Id_ring.iter
     (fun id n ->
       if size t = 1 then begin
         n.cover <- [||];
@@ -236,7 +127,7 @@ let build_fingers t ~selector =
           (if Array.length candidates > 0 then selector ~node:id ~arc:(lo, span) ~candidates
            else None)
       end)
-    t.nodes
+    t.ring
 
 let cover t id = Array.copy (node t id).cover
 let preferred t id = (node t id).preferred
@@ -253,14 +144,14 @@ let entry_for t n pos =
       if p = exact then p
       else if Array.length n.cover > 0 && n.cover.(0) = p then p
       else begin
-        let lo = t.degree * ((n.key + 1) mod t.ring) mod t.ring in
+        let lo = t.degree * ((n.key + 1) mod space t) mod space t in
         if clockwise t lo (key_of t p) < clockwise t lo pos then p else exact
       end
     | _ -> exact
 
 let route t ~src ~key =
   if not (mem t src) then invalid_arg "Koorde.route: source not a member";
-  let key = ((key mod t.ring) + t.ring) mod t.ring in
+  let key = clockwise t 0 key in
   let owner = successor_node t key in
   let g = t.digit_bits in
   (* Best imaginary start: the fewest digits j such that some position in
@@ -268,12 +159,12 @@ let route t ~src ~key =
      i.e. i0 = key >> (j*g)  (mod degree^(digits-j)) for an i0 we own. *)
   let start_state m =
     let l = domain_span t m in
-    let a = (m.key + 1) mod t.ring in
+    let a = (m.key + 1) mod space t in
     let rec find j =
       let s = 1 lsl ((t.digits - j) * g) in
       let r = key lsr (j * g) in
       let offset = ((r - a) mod s + s) mod s in
-      if offset < l then ((a + offset) mod t.ring, j) else find (j + 1)
+      if offset < l then ((a + offset) mod space t, j) else find (j + 1)
     in
     find 0
   in
@@ -287,7 +178,7 @@ let route t ~src ~key =
       else if rem > 0 && between_oc t m.key (key_of t succ) i then begin
         (* consume the next digit of the key, top-first *)
         let digit = (key lsr ((rem - 1) * g)) land (t.degree - 1) in
-        let i' = ((i * t.degree) land (t.ring - 1)) lor digit in
+        let i' = ((i * t.degree) land (space t - 1)) lor digit in
         let next = entry_for t m i' in
         if next = m.id then go m i' (rem - 1) acc guard
         else go (node t next) i' (rem - 1) (m.id :: acc) (guard - 1)
@@ -303,24 +194,7 @@ let route t ~src ~key =
       go m i0 j [] ((4 * size t) + (2 * t.digits))
     end
   in
-  (match t.obs with
-  | None -> ()
-  | Some o ->
-    Engine.Metrics.incr o.requests;
-    (match result with
-    | Some hops ->
-      Engine.Metrics.observe o.hops (float_of_int (List.length hops - 1));
-      Option.iter
-        (fun tr ->
-          let rec spans = function
-            | a :: (b :: _ as rest) ->
-              Engine.Trace.emit tr ~peer:b Engine.Trace.Route_hop ~node:a;
-              spans rest
-            | [ _ ] | [] -> ()
-          in
-          spans hops)
-        o.tracer
-    | None -> Engine.Metrics.incr o.failures));
+  Engine.Route_obs.record t.obs result;
   result
 
 let check_invariants t =

@@ -41,12 +41,9 @@ val create :
   t
 (** Empty overlay; [key_bits] defaults to 24 and [degree] to 2.  [degree]
     must be a power of two in [[2, 64]] dividing [key_bits] by its log —
-    the default key width supports k ∈ {{2, 4, 8, 16}}.
-
-    With [metrics], {!route} maintains [route_requests] /
-    [route_failures] counters and a [route_hops] histogram labeled
-    [overlay=koorde] plus any extra [labels].  With [trace], successful
-    routes emit one [Route_hop] span per forwarding step. *)
+    the default key width supports k ∈ {{2, 4, 8, 16}}.  [metrics],
+    [labels] and [trace] feed {!Engine.Route_obs} under
+    [overlay=koorde]. *)
 
 val key_bits : t -> int
 val degree : t -> int
@@ -54,7 +51,8 @@ val size : t -> int
 
 val add_node : t -> rng:Prelude.Rng.t -> int -> unit
 (** Add a member under a fresh random ring key.  Raises
-    [Invalid_argument] if the node is already a member. *)
+    [Invalid_argument] if the node is already a member or every key is
+    taken. *)
 
 val add_node_at : t -> int -> key:int -> unit
 (** Add a member at an explicit ring key (hand-built test rings).  Raises
@@ -84,6 +82,9 @@ val charge_node : t -> int -> int
 
 val arc_members : t -> lo:int -> span:int -> int array
 (** Members whose ring keys fall in [[lo, lo+span)] (mod ring size). *)
+
+val clockwise : t -> int -> int -> int
+(** [clockwise t from target]: clockwise ring distance. *)
 
 val image_arc : t -> int -> int * int
 (** [(lo, span)] of a member's de Bruijn image arc: the ring positions

@@ -25,12 +25,8 @@ val create :
   unit ->
   t
 (** Defaults: 2-bit digits (base 4), 15 digits (30-bit ids), leaf radius 4
-    (8 leaves).
-
-    With [metrics], {!route} maintains [route_requests] /
-    [route_failures] counters and a [route_hops] histogram labeled
-    [overlay=pastry] plus any extra [labels].  With [trace], successful
-    routes emit one [Route_hop] span per forwarding step. *)
+    (8 leaves).  [metrics], [labels] and [trace] feed
+    {!Engine.Route_obs} under [overlay=pastry]. *)
 
 val digit_bits : t -> int
 val num_digits : t -> int
@@ -39,7 +35,9 @@ val mem : t -> int -> bool
 val node_ids : t -> int array
 
 val add_node : t -> rng:Prelude.Rng.t -> int -> unit
-(** Add a member under a fresh random Pastry id. *)
+(** Add a member under a fresh random Pastry id.  Raises
+    [Invalid_argument] if the node is already a member or every id is
+    taken. *)
 
 val remove_node : t -> int -> unit
 (** Remove a member; dangling table entries are cleared and leaf sets
@@ -54,7 +52,9 @@ val shared_prefix_len : t -> int -> int -> int
 (** Length (in digits) of the common prefix of two Pastry ids. *)
 
 val members_with_prefix : t -> int array -> int array
-(** Members whose id starts with the given digit string. *)
+(** Members whose id starts with the given digit string.  Raises
+    [Invalid_argument] on a prefix longer than [num_digits] or a digit
+    outside [[0, 2^digit_bits)]. *)
 
 val owner_of : t -> int -> int
 (** Member whose Pastry id is numerically closest (circularly) to the

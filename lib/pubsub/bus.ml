@@ -46,7 +46,7 @@ type t = {
   latency : host:int -> subscriber:int -> float;
   channel : float -> float option;
   mutable digest_window : float;
-  subs : (int, subscription list ref) Hashtbl.t;  (* region key -> subscriptions *)
+  subs : subscription Prelude.Multimap.t;  (* region key -> subscriptions *)
   pending : (int * int, batch) Hashtbl.t;  (* (subscriber, region key) -> open digest *)
   mutable next_id : int;
   mutable sent : int;
@@ -102,7 +102,7 @@ let create ?metrics ?(labels = []) ?trace ?sim ?(latency = fun ~host:_ ~subscrib
     latency;
     channel;
     digest_window;
-    subs = Hashtbl.create 64;
+    subs = Prelude.Multimap.create 64;
     pending = Hashtbl.create 64;
     next_id = 0;
     sent = 0;
@@ -140,25 +140,15 @@ let subscribe t ~subscriber ~region ~condition ~handler =
     }
   in
   t.next_id <- t.next_id + 1;
-  let key = region_key region in
-  (match Hashtbl.find_opt t.subs key with
-  | Some l -> l := sub :: !l
-  | None -> Hashtbl.replace t.subs key (ref [ sub ]));
+  Prelude.Multimap.add t.subs (region_key region) sub;
   sub
 
 let unsubscribe t sub =
   sub.active <- false;
-  let key = region_key sub.region in
-  match Hashtbl.find_opt t.subs key with
-  | Some l ->
-    l := List.filter (fun s -> s.id <> sub.id) !l;
-    if !l = [] then Hashtbl.remove t.subs key
-  | None -> ()
+  Prelude.Multimap.remove t.subs (region_key sub.region) (fun s -> s.id = sub.id)
 
 let subscription_count t ~region =
-  match Hashtbl.find_opt t.subs (region_key region) with
-  | Some l -> List.length (List.filter (fun s -> s.active) !l)
-  | None -> 0
+  List.length (List.filter (fun s -> s.active) (Prelude.Multimap.find t.subs (region_key region)))
 
 let matches sub ~vector event =
   match (sub.condition, event) with
@@ -261,12 +251,9 @@ let deliver t sub ~host event =
   | Some _ | None -> deliver_immediate t sub ~host event
 
 let notify t ~region ~vector ~host event =
-  match Hashtbl.find_opt t.subs (region_key region) with
-  | None -> ()
-  | Some l ->
-    List.iter
-      (fun sub -> if sub.active && matches sub ~vector event then deliver t sub ~host event)
-      !l
+  List.iter
+    (fun sub -> if sub.active && matches sub ~vector event then deliver t sub ~host event)
+    (Prelude.Multimap.find t.subs (region_key region))
 
 let host_for t ~region ~vector =
   if Can.Overlay.size (Store.can t.store) = 0 then -1
