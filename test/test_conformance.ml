@@ -191,6 +191,125 @@ let qcheck_churn_preserves_invariants (name, make) =
       done;
       !ok)
 
+(* ---- route accounting: every overlay records its routes through the
+   shared recorder ---- *)
+
+module Trace = Engine.Trace
+
+(* Each overlay built with [?metrics] and [?trace] on, tables filled by
+   seeded random picks; returns its members, key space and keyed route. *)
+let instrumented =
+  let pick seed = Core.Strategy.random_pick (Rng.create (seed + 1)) in
+  let ring_like ~n ~add ~build ~members ~key_bits ~route =
+    for id = 0 to n - 1 do
+      add id
+    done;
+    build ();
+    (members, 1 lsl key_bits, route)
+  in
+  let can_like ~express ~metrics ~trace ~seed ~n =
+    let module Can_overlay = Can.Overlay in
+    let rng = Rng.create seed in
+    let can =
+      if express then Can_overlay.create ~dims:2 0 else Can_overlay.create ~metrics ~trace ~dims:2 0
+    in
+    for id = 1 to n - 1 do
+      ignore (Can_overlay.join can id (Point.random rng 2))
+    done;
+    let route =
+      if not express then Can_overlay.route can
+      else begin
+        let e = Ecan.Expressway.create ~metrics ~trace ~span_bits:2 can in
+        let pick = pick seed in
+        Ecan.Expressway.build_tables e ~selector:(fun ~node ~region:_ ~candidates ->
+            pick ~node ~candidates);
+        Ecan.Expressway.route e
+      end
+    in
+    ( (fun () -> Can_overlay.node_ids can),
+      1 lsl can_key_bits,
+      fun ~src ~key -> route ~src (point_of_key key) )
+  in
+  [
+    ("can", can_like ~express:false);
+    ("ecan", can_like ~express:true);
+    ( "chord",
+      fun ~metrics ~trace ~seed ~n ->
+        let module R = Chord.Ring in
+        let t = R.create ~metrics ~trace () and rng = Rng.create seed and pick = pick seed in
+        ring_like ~n
+          ~add:(R.add_node t ~rng)
+          ~build:(fun () ->
+            R.build_fingers t ~selector:(fun ~node ~arc:_ ~candidates -> pick ~node ~candidates))
+          ~members:(fun () -> R.node_ids t)
+          ~key_bits:(R.key_bits t) ~route:(R.route t) );
+    ( "pastry",
+      fun ~metrics ~trace ~seed ~n ->
+        let module M = Pastry.Mesh in
+        let t = M.create ~metrics ~trace () and rng = Rng.create seed and pick = pick seed in
+        ring_like ~n
+          ~add:(M.add_node t ~rng)
+          ~build:(fun () ->
+            M.build_tables t ~selector:(fun ~node ~prefix:_ ~candidates -> pick ~node ~candidates))
+          ~members:(fun () -> M.node_ids t)
+          ~key_bits:(M.digit_bits t * M.num_digits t)
+          ~route:(M.route t) );
+    ( "koorde",
+      fun ~metrics ~trace ~seed ~n ->
+        let module K = Koorde.Debruijn in
+        let t = K.create ~metrics ~trace ~degree:4 () and rng = Rng.create seed
+        and pick = pick seed in
+        ring_like ~n
+          ~add:(K.add_node t ~rng)
+          ~build:(fun () ->
+            K.build_fingers t ~selector:(fun ~node ~arc:_ ~candidates -> pick ~node ~candidates))
+          ~members:(fun () -> K.node_ids t)
+          ~key_bits:(K.key_bits t) ~route:(K.route t) );
+  ]
+
+let qcheck_route_accounting (name, make) =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "%s: route instruments account every lookup" name)
+    ~count:10
+    QCheck.(triple (int_range 0 1000) (int_range 1 64) (int_range 1 40))
+    (fun (seed, n, routes) ->
+      let metrics = Metrics.create () in
+      let trace = Trace.create () in
+      let members, key_space, route = make ~metrics ~trace ~seed ~n in
+      let rng = Rng.create (seed + 5) in
+      let results =
+        List.init routes (fun _ ->
+            let key = Rng.int rng key_space in
+            route ~src:(Rng.pick rng (members ())) ~key)
+      in
+      let hops = List.filter_map (Option.map (fun h -> List.length h - 1)) results in
+      (* read the registry before the lookups below could intern anything *)
+      let snapshot = Metrics.snapshot metrics in
+      let present =
+        List.for_all
+          (fun c -> List.exists (fun (e : Metrics.snapshot_entry) -> e.name = c) snapshot)
+          [ "route_requests"; "route_failures"; "route_hops" ]
+      in
+      let labeled =
+        List.for_all
+          (fun (e : Metrics.snapshot_entry) -> List.mem ("overlay", name) e.labels)
+          snapshot
+      in
+      let labels = [ ("overlay", name) ] in
+      let counter c = Metrics.count (Metrics.counter metrics ~labels c) in
+      let histogram = Metrics.histogram metrics ~labels "route_hops" in
+      let hop_spans =
+        List.length (List.filter (fun sp -> sp.Trace.kind = Trace.Route_hop) (Trace.spans trace))
+      in
+      present
+      && labeled
+      && counter "route_requests" = routes
+      && counter "route_failures" = routes - List.length hops
+      && Metrics.observations histogram = List.length hops
+      && Array.fold_left ( +. ) 0. (Metrics.samples histogram)
+         = float_of_int (List.fold_left ( + ) 0 hops)
+      && hop_spans = List.fold_left ( + ) 0 hops)
+
 (* ---- determinism: same seed and domains 1 vs 4 give byte-identical
    metrics JSON (DESIGN §12) ---- *)
 
@@ -245,3 +364,4 @@ let suite =
           (test_deterministic_json entry);
       ])
     backends
+  @ List.map (fun entry -> QCheck_alcotest.to_alcotest (qcheck_route_accounting entry)) instrumented

@@ -124,6 +124,23 @@ let test_can_max_depth_guard () =
 
 (* ---- ecan ---- *)
 
+let test_can_prefix_validation () =
+  let t = Can_overlay.create ~dims:2 0 in
+  let rng = Rng.create 14 in
+  for id = 1 to 7 do
+    ignore (Can_overlay.join t id (Point.random rng 2))
+  done;
+  let raises what msg prefix =
+    Alcotest.check_raises what (Invalid_argument ("Can.members_with_prefix: " ^ msg)) (fun () ->
+        ignore (Can_overlay.members_with_prefix t prefix))
+  in
+  raises "bit 2" "bits must be 0 or 1" [| 2 |];
+  raises "bit 3" "bits must be 0 or 1" [| 0; 3 |];
+  raises "bit -1" "bits must be 0 or 1" [| -1 |];
+  raises "past max_depth" "prefix too long" (Array.make (Can_overlay.max_depth + 1) 0);
+  Alcotest.(check int) "root prefix holds everyone" 8
+    (Array.length (Can_overlay.members_with_prefix t [||]))
+
 let test_ecan_routes_deterministic () =
   let rng = Rng.create 6 in
   let t = Can_overlay.create ~dims:2 0 in
@@ -182,6 +199,42 @@ let test_pastry_empty_prefix_too_long () =
   Alcotest.check_raises "prefix too long"
     (Invalid_argument "Pastry.members_with_prefix: prefix too long") (fun () ->
       ignore (Mesh.members_with_prefix t (Array.make 5 0)))
+
+let test_pastry_prefix_digit_range () =
+  let t = Mesh.create ~digit_bits:2 ~num_digits:4 () in
+  let rng = Rng.create 12 in
+  for id = 0 to 15 do
+    Mesh.add_node t ~rng id
+  done;
+  List.iter
+    (fun prefix ->
+      Alcotest.check_raises "digit out of range"
+        (Invalid_argument "Pastry.members_with_prefix: digit out of range") (fun () ->
+          ignore (Mesh.members_with_prefix t prefix)))
+    [ [| 0; 7 |]; [| 4 |]; [| -1 |] ]
+
+(* Adding past the last free key raises up front instead of redrawing
+   forever; every earlier add found a key. *)
+let check_full_key_space ~keys ~size add =
+  let rng = Rng.create 13 in
+  for id = 0 to keys - 1 do
+    add ~rng id
+  done;
+  Alcotest.(check int) "every key holds a member" keys (size ());
+  Alcotest.check_raises "key space full" (Invalid_argument "Id_ring.add: key space full")
+    (fun () -> add ~rng keys)
+
+let test_chord_full_key_space () =
+  let t = Ring.create ~key_bits:4 () in
+  check_full_key_space ~keys:16 ~size:(fun () -> Ring.size t) (Ring.add_node t)
+
+let test_koorde_full_key_space () =
+  let t = Koorde.Debruijn.create ~key_bits:3 () in
+  check_full_key_space ~keys:8 ~size:(fun () -> Koorde.Debruijn.size t) (Koorde.Debruijn.add_node t)
+
+let test_pastry_full_key_space () =
+  let t = Mesh.create ~digit_bits:1 ~num_digits:2 () in
+  check_full_key_space ~keys:4 ~size:(fun () -> Mesh.size t) (Mesh.add_node t)
 
 (* ---- softstate ---- *)
 
@@ -310,11 +363,16 @@ let suite =
     Alcotest.test_case "two-node CAN routing" `Quick test_can_two_nodes_routing;
     Alcotest.test_case "join returns its walk" `Quick test_can_join_route_hop_list;
     Alcotest.test_case "max split depth guard" `Quick test_can_max_depth_guard;
+    Alcotest.test_case "can prefix validation" `Quick test_can_prefix_validation;
     Alcotest.test_case "ecan deterministic routes" `Quick test_ecan_routes_deterministic;
     Alcotest.test_case "ecan single node" `Quick test_ecan_single_node;
     Alcotest.test_case "two-node chord" `Quick test_chord_two_nodes;
     Alcotest.test_case "pastry self-route" `Quick test_pastry_route_to_own_id;
     Alcotest.test_case "pastry prefix validation" `Quick test_pastry_empty_prefix_too_long;
+    Alcotest.test_case "pastry prefix digit range" `Quick test_pastry_prefix_digit_range;
+    Alcotest.test_case "chord full key space" `Quick test_chord_full_key_space;
+    Alcotest.test_case "koorde full key space" `Quick test_koorde_full_key_space;
+    Alcotest.test_case "pastry full key space" `Quick test_pastry_full_key_space;
     Alcotest.test_case "map box volume fraction" `Quick test_store_map_box_fraction;
     Alcotest.test_case "host_of returns members" `Quick test_store_host_of_matches_owner;
     Alcotest.test_case "unsubscribe inside handler" `Quick test_pubsub_unsubscribe_inside_handler;

@@ -223,53 +223,100 @@ let qcheck_can_prefix_membership_bruteforce =
            (fun id -> Can_overlay.in_region t prefix id = List.mem id brute)
            (Array.init (n + 2) (fun id -> id)))
 
+(* Chord and Koorde sit on the same identifier ring, so the ring
+   brute-force checks take the overlay as one more input: [n] seeded
+   members, then the ring size and the member queries. *)
+let seeded_ring ~koorde seed n =
+  let rng = Rng.create seed in
+  if koorde then begin
+    let module K = Koorde.Debruijn in
+    let t = K.create () in
+    for id = 0 to n - 1 do
+      K.add_node t ~rng id
+    done;
+    (1 lsl K.key_bits t, K.key_of t, K.node_ids t, K.arc_members t, K.successor_node t)
+  end
+  else begin
+    let t = Ring.create () in
+    for id = 0 to n - 1 do
+      Ring.add_node t ~rng id
+    done;
+    let ring = 1 lsl Ring.key_bits t in
+    (ring, Ring.key_of t, Ring.node_ids t, Ring.arc_members t, Ring.successor_node t)
+  end
+
 let qcheck_chord_arc_bruteforce =
   QCheck.Test.make ~name:"arc_members = brute-force key scan" ~count:30
-    QCheck.(triple (int_range 0 10_000) (int_range 1 50) (pair (int_range 0 1_000_000) (int_range 1 1_000_000)))
-    (fun (seed, n, (lo_raw, span_raw)) ->
-      let rng = Rng.create seed in
-      let t = Ring.create () in
-      for id = 0 to n - 1 do
-        Ring.add_node t ~rng id
-      done;
-      let ring = 1 lsl Ring.key_bits t in
+    QCheck.(
+      quad bool (int_range 0 10_000) (int_range 1 50)
+        (pair (int_range 0 1_000_000) (int_range 1 1_000_000)))
+    (fun (koorde, seed, n, (lo_raw, span_raw)) ->
+      let ring, key_of, ids, arc_members, _ = seeded_ring ~koorde seed n in
       let lo = lo_raw mod ring and span = 1 + (span_raw mod (ring - 1)) in
-      let fast = List.sort compare (Array.to_list (Ring.arc_members t ~lo ~span)) in
+      let fast = List.sort compare (Array.to_list (arc_members ~lo ~span)) in
       let brute =
         List.sort compare
           (List.filter
              (fun id ->
-               let k = Ring.key_of t id in
+               let k = key_of id in
                let d = ((k - lo) mod ring + ring) mod ring in
                d < span)
-             (Array.to_list (Ring.node_ids t)))
+             (Array.to_list ids))
       in
       fast = brute)
 
 let qcheck_chord_successor_bruteforce =
   QCheck.Test.make ~name:"successor_node = brute-force clockwise minimum" ~count:30
-    QCheck.(triple (int_range 0 10_000) (int_range 1 40) (int_range 0 1_000_000))
-    (fun (seed, n, key_raw) ->
-      let rng = Rng.create seed in
-      let t = Ring.create () in
-      for id = 0 to n - 1 do
-        Ring.add_node t ~rng id
-      done;
-      let ring = 1 lsl Ring.key_bits t in
+    QCheck.(quad bool (int_range 0 10_000) (int_range 1 40) (int_range 0 1_000_000))
+    (fun (koorde, seed, n, key_raw) ->
+      let ring, key_of, ids, _, successor_node = seeded_ring ~koorde seed n in
       let key = key_raw mod ring in
       let clockwise from target = ((target - from) mod ring + ring) mod ring in
       let brute =
         Array.fold_left
           (fun best id ->
-            let d = clockwise key (Ring.key_of t id) in
+            let d = clockwise key (key_of id) in
             match best with
             | Some (bd, _) when bd <= d -> best
             | _ -> Some (d, id))
-          None (Ring.node_ids t)
+          None ids
       in
       match brute with
-      | Some (_, expect) -> Ring.successor_node t key = expect
+      | Some (_, expect) -> successor_node key = expect
       | None -> false)
+
+(* Multimap against an association-list model, newest binding first:
+   each bucket must list its values most recently added first, with
+   removals keeping the survivors' order.  The prefix-member index
+   hands buckets to [Rng.pick] by position, so this order is a result. *)
+let qcheck_multimap_model =
+  QCheck.Test.make ~name:"multimap buckets = association-list model, newest first" ~count:200
+    QCheck.(list (triple (int_range 0 9) (int_range 0 5) (int_range 0 7)))
+    (fun ops ->
+      let module Multimap = Prelude.Multimap in
+      let t = Multimap.create 4 and model = ref [] in
+      let drop key p = model := List.filter (fun (k, v) -> not (k = key && p v)) !model in
+      let bucket key = List.filter_map (fun (k, v) -> if k = key then Some v else None) !model in
+      let agrees () =
+        List.for_all (fun key -> Multimap.find t key = bucket key) [ 0; 1; 2; 3; 4; 5 ]
+      in
+      List.for_all
+        (fun (op, key, v) ->
+          (match op with
+          | 0 | 1 | 2 | 3 | 4 ->
+            Multimap.add t key v;
+            model := (key, v) :: !model
+          | 5 | 6 ->
+            Multimap.remove t key (fun x -> x = v);
+            drop key (fun x -> x = v)
+          | 7 | 8 ->
+            Multimap.remove t key (fun x -> x mod 2 = v mod 2);
+            drop key (fun x -> x mod 2 = v mod 2)
+          | _ ->
+            Multimap.reset t;
+            model := []);
+          agrees ())
+        ops)
 
 let qcheck_store_lookup_subset =
   QCheck.Test.make ~name:"store lookup returns a subset of the region's live entries" ~count:20
@@ -383,5 +430,6 @@ let suite =
       qcheck_can_prefix_membership_bruteforce;
       qcheck_chord_arc_bruteforce;
       qcheck_chord_successor_bruteforce;
+      qcheck_multimap_model;
       qcheck_store_lookup_subset;
     ]
