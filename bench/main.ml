@@ -35,10 +35,7 @@ module Micro = struct
   let overlay =
     lazy
       (let rng = Rng.create 10 in
-       let can = Can_overlay.create ~dims:2 0 in
-       for id = 1 to 1023 do
-         ignore (Can_overlay.join can id (Point.random rng 2))
-       done;
+       let can = Can_overlay.random ~dims:2 rng 1024 in
        let e = Ecan_exp.create ~span_bits:2 can in
        let sel = Rng.create 11 in
        Ecan_exp.build_tables e ~selector:(fun ~node:_ ~region:_ ~candidates ->

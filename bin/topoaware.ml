@@ -46,10 +46,22 @@ let checked of_string pp ok expected =
 let positive = checked int_of_string_opt Format.pp_print_int (fun n -> n >= 1) "a positive integer"
 let nonneg = checked int_of_string_opt Format.pp_print_int (fun n -> n >= 0) "an integer >= 0"
 
+let at_least_4 = checked int_of_string_opt Format.pp_print_int (fun n -> n >= 4) "an integer >= 4"
+
 let probability =
   checked float_of_string_opt Format.pp_print_float
     (fun p -> p >= 0.0 && p <= 1.0)
     "a number in [0,1]"
+
+let positive_float =
+  checked float_of_string_opt Format.pp_print_float
+    (fun x -> Float.is_finite x && x > 0.0)
+    "a finite number > 0"
+
+let nonneg_float =
+  checked float_of_string_opt Format.pp_print_float
+    (fun x -> Float.is_finite x && x >= 0.0)
+    "a finite number >= 0"
 
 let scale_arg =
   let doc = "Divide workload sizes by $(docv) for quicker runs." in
@@ -184,10 +196,7 @@ let nn_search_cmd =
     let oracle = Workload.Ctx.oracle ~scale variant latency in
     let n = Oracle.node_count oracle in
     let rng = Rng.create seed in
-    let can = Can_overlay.create ~dims:2 0 in
-    for id = 1 to n - 1 do
-      ignore (Can_overlay.join can id (Geometry.Point.random rng 2))
-    done;
+    let can = Can_overlay.random ~dims:2 rng n in
     let lms = Landmarks.choose rng oracle 15 in
     let vectors = Array.init n (fun node -> Landmarks.vector lms node) in
     let all = Array.init n (fun i -> i) in
@@ -312,29 +321,25 @@ let churn_cmd =
              ~doc:"Soft-state expiry shards (independently swept store partitions).")
   in
   let digest_arg =
-    Arg.(value & opt float 0.0
+    Arg.(value & opt nonneg_float 0.0
          & info [ "digest-window" ] ~docv:"MS"
              ~doc:"Notification digest window in virtual ms (0 disables batching).")
   in
   let run verbose seed scale crashes leaves joins loss staleness shards digest_window
       probe_window domains =
-    if digest_window < 0.0 then `Error (false, "--digest-window must be >= 0")
-    else begin
-      setup_logs verbose;
-      let storm =
-        {
-          Engine.Faults.default_storm with
-          Engine.Faults.crashes;
-          leaves;
-          joins;
-          expire_fraction = staleness;
-        }
-      in
-      let channel = { Engine.Faults.loss; delay_min = 5.0; delay_max = 50.0 } in
-      Workload.Exp_churn.run_custom ~scale ~seed ~shards ~digest_window ~probe_window ~domains
-        ~storm ~channel ppf;
-      `Ok ()
-    end
+    setup_logs verbose;
+    let storm =
+      {
+        Engine.Faults.default_storm with
+        Engine.Faults.crashes;
+        leaves;
+        joins;
+        expire_fraction = staleness;
+      }
+    in
+    let channel = { Engine.Faults.loss; delay_min = 5.0; delay_max = 50.0 } in
+    Workload.Exp_churn.run_custom ~scale ~seed ~shards ~digest_window ~probe_window ~domains
+      ~storm ~channel ppf
   in
   Cmd.v
     (Cmd.info "churn"
@@ -342,9 +347,8 @@ let churn_cmd =
          "Drive every overlay through a seeded fault storm (crashes, leaves, joins, stale \
           soft-state, lossy notifications) and report repair latency and stretch")
     Term.(
-      ret
-        (const run $ verbose_arg $ seed_arg $ scale_arg $ crashes_arg $ leaves_arg $ joins_arg
-        $ loss_arg $ stale_arg $ shards_arg $ digest_arg $ probe_window_arg $ domains_arg))
+      const run $ verbose_arg $ seed_arg $ scale_arg $ crashes_arg $ leaves_arg $ joins_arg
+      $ loss_arg $ stale_arg $ shards_arg $ digest_arg $ probe_window_arg $ domains_arg)
 
 (* ---- domains ---- *)
 
@@ -380,7 +384,7 @@ let repair_cmd =
 
 let cache_cmd =
   let zipf_arg =
-    Arg.(value & opt float 0.9
+    Arg.(value & opt nonneg_float 0.9
          & info [ "zipf-s" ] ~docv:"S"
              ~doc:"Zipf popularity exponent, >= 0 (0 = uniform requests).")
   in
@@ -395,13 +399,8 @@ let cache_cmd =
              ~doc:"Max copies per key, >= 1 (1 disables hotspot replication).")
   in
   let run verbose seed scale zipf_s clients replicas =
-    if (not (Float.is_finite zipf_s)) || zipf_s < 0.0 then
-      `Error (false, "--zipf-s must be finite and >= 0")
-    else begin
-      setup_logs verbose;
-      Workload.Exp_cache.run_custom ~scale ~seed ~zipf_s ?clients ~replicas ppf;
-      `Ok ()
-    end
+    setup_logs verbose;
+    Workload.Exp_cache.run_custom ~scale ~seed ~zipf_s ?clients ~replicas ppf
   in
   Cmd.v
     (Cmd.info "cache"
@@ -410,17 +409,14 @@ let cache_cmd =
           (eCAN aware/random, CAN, Chord, Pastry, Koorde) and report delivered latency percentiles, \
           hit rate, hotspot replications and per-node load")
     Term.(
-      ret
-        (const run $ verbose_arg $ seed_arg $ scale_arg $ zipf_arg $ clients_arg
-        $ replicas_arg))
+      const run $ verbose_arg $ seed_arg $ scale_arg $ zipf_arg $ clients_arg $ replicas_arg)
 
 (* ---- degree ---- *)
 
 let degree_cmd =
   let run verbose seed scale =
     setup_logs verbose;
-    Workload.Exp_degree.run_custom ~scale ~seed ppf;
-    `Ok ()
+    Workload.Exp_degree.run_custom ~scale ~seed ppf
   in
   Cmd.v
     (Cmd.info "degree"
@@ -428,13 +424,13 @@ let degree_cmd =
          "Sweep the per-hop choice budget k over every overlay (eCAN, CAN, Chord, Pastry, \
           Koorde — where k is also the de Bruijn fanout) and report topology-aware vs \
           random stretch, RTT probes spent and churn-repair latency per (backend, k) cell")
-    Term.(ret (const run $ verbose_arg $ seed_arg $ scale_arg))
+    Term.(const run $ verbose_arg $ seed_arg $ scale_arg)
 
 (* ---- mcast ---- *)
 
 let mcast_cmd =
   let group_arg =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some at_least_4) None
          & info [ "group-size" ] ~docv:"N"
              ~doc:"Subscriber group size, >= 4 (default: scales with the workload).")
   in
@@ -451,13 +447,8 @@ let mcast_cmd =
                 (the default; headline aware-vs-random gauges need both).")
   in
   let run verbose seed scale group_size degree policy =
-    if (match group_size with Some g -> g < 4 | None -> false) then
-      `Error (false, "--group-size must be >= 4")
-    else begin
-      setup_logs verbose;
-      Workload.Exp_mcast.run_custom ~scale ~seed ?group_size ~degree ?policy ppf;
-      `Ok ()
-    end
+    setup_logs verbose;
+    Workload.Exp_mcast.run_custom ~scale ~seed ?group_size ~degree ?policy ppf
   in
   Cmd.v
     (Cmd.info "mcast"
@@ -466,8 +457,7 @@ let mcast_cmd =
           every overlay (eCAN aware/random placement, CAN, Chord, Pastry, Koorde), with parent loss \
           detected through soft-state Departure_of watches, and report delivered latency, \
           stretch, link stress and regraft latency per backend")
-    Term.(
-      ret (const run $ verbose_arg $ seed_arg $ scale_arg $ group_arg $ degree_arg $ policy_arg))
+    Term.(const run $ verbose_arg $ seed_arg $ scale_arg $ group_arg $ degree_arg $ policy_arg)
 
 (* ---- trace ---- *)
 
@@ -480,7 +470,7 @@ let trace_cmd =
     Arg.(value & opt positive 128 & info [ "nodes" ] ~docv:"N" ~doc:"Overlay size.")
   in
   let until_arg =
-    Arg.(value & opt float 120_000.0
+    Arg.(value & opt positive_float 120_000.0
          & info [ "until" ] ~docv:"MS" ~doc:"Simulated horizon in milliseconds.")
   in
   let lookups_arg =
@@ -488,63 +478,59 @@ let trace_cmd =
          & info [ "lookups" ] ~docv:"N" ~doc:"Routed lookups issued after the run (route spans).")
   in
   let run verbose variant latency seed scale size until lookups out =
-    if until <= 0.0 then `Error (false, "--until must be positive")
-    else begin
-      setup_logs verbose;
-      let oracle = Workload.Ctx.oracle ~scale variant latency in
-      let sim = Engine.Sim.create () in
-      let tracer = Engine.Trace.create ~clock:(fun () -> Engine.Sim.now sim) () in
-      let faults = Engine.Faults.create ~trace:tracer ~seed:(seed + 1) () in
-      (* Spans ride on the instrumented paths, so the run needs a registry
-         even though only the tracer's output is dumped. *)
-      let metrics = Engine.Metrics.create () in
-      let size = max 16 (size / scale) in
-      let b =
-        Builder.build ~metrics ~trace:tracer
-          ~clock:(fun () -> Engine.Sim.now sim)
-          oracle
-          { Builder.default_config with Builder.overlay_size = size; ttl = 60_000.0; seed }
-      in
-      let can = Ecan.Expressway.can b.Builder.ecan in
-      let m =
-        Core.Maintenance.start ~sim ~metrics ~trace:tracer ~refresh_period:20_000.0
-          ~sweep_period:5_000.0 ~channel:(Engine.Faults.perturb faults) b
-      in
-      Core.Maintenance.subscribe_all_slots m;
-      (* A small storm inside the horizon so the dump shows fault, sweep
-         and notification spans, not just refresh traffic. *)
-      let storm =
-        {
-          Engine.Faults.default_storm with
-          Engine.Faults.crashes = 2;
-          leaves = 2;
-          joins = 4;
-          expire_bursts = 1;
-          start = until /. 4.0;
-          spread = until /. 2.0;
-        }
-      in
-      let drv = Rng.create (seed + 2) in
-      Workload.Exp_churn.install_ecan_storm ~faults ~sim ~drv ~storm b m;
-      Engine.Sim.run ~until sim;
-      let ids = Can_overlay.node_ids can in
-      for _ = 1 to lookups do
-        ignore
-          (Ecan.Expressway.route b.Builder.ecan ~src:(Rng.pick drv ids)
-             (Geometry.Point.random drv b.Builder.config.Builder.dims))
-      done;
-      Core.Maintenance.stop m;
-      (match out with
-      | Some path ->
-        let oc = open_out path in
-        output_string oc (Engine.Trace.to_jsonl tracer);
-        close_out oc
-      | None -> print_string (Engine.Trace.to_jsonl tracer));
-      Logs.info (fun f ->
-          f "traced %d spans (%d dropped by ring wraparound)" (Engine.Trace.length tracer)
-            (Engine.Trace.dropped tracer));
-      `Ok ()
-    end
+    setup_logs verbose;
+    let oracle = Workload.Ctx.oracle ~scale variant latency in
+    let sim = Engine.Sim.create () in
+    let tracer = Engine.Trace.create ~clock:(fun () -> Engine.Sim.now sim) () in
+    let faults = Engine.Faults.create ~trace:tracer ~seed:(seed + 1) () in
+    (* Spans ride on the instrumented paths, so the run needs a registry
+       even though only the tracer's output is dumped. *)
+    let metrics = Engine.Metrics.create () in
+    let size = max 16 (size / scale) in
+    let b =
+      Builder.build ~metrics ~trace:tracer
+        ~clock:(fun () -> Engine.Sim.now sim)
+        oracle
+        { Builder.default_config with Builder.overlay_size = size; ttl = 60_000.0; seed }
+    in
+    let can = Ecan.Expressway.can b.Builder.ecan in
+    let m =
+      Core.Maintenance.start ~sim ~metrics ~trace:tracer ~refresh_period:20_000.0
+        ~sweep_period:5_000.0 ~channel:(Engine.Faults.perturb faults) b
+    in
+    Core.Maintenance.subscribe_all_slots m;
+    (* A small storm inside the horizon so the dump shows fault, sweep
+       and notification spans, not just refresh traffic. *)
+    let storm =
+      {
+        Engine.Faults.default_storm with
+        Engine.Faults.crashes = 2;
+        leaves = 2;
+        joins = 4;
+        expire_bursts = 1;
+        start = until /. 4.0;
+        spread = until /. 2.0;
+      }
+    in
+    let drv = Rng.create (seed + 2) in
+    Workload.Exp_churn.install_ecan_storm ~faults ~sim ~drv ~storm b m;
+    Engine.Sim.run ~until sim;
+    let ids = Can_overlay.node_ids can in
+    for _ = 1 to lookups do
+      ignore
+        (Ecan.Expressway.route b.Builder.ecan ~src:(Rng.pick drv ids)
+           (Geometry.Point.random drv b.Builder.config.Builder.dims))
+    done;
+    Core.Maintenance.stop m;
+    (match out with
+    | Some path ->
+      let oc = open_out path in
+      output_string oc (Engine.Trace.to_jsonl tracer);
+      close_out oc
+    | None -> print_string (Engine.Trace.to_jsonl tracer));
+    Logs.info (fun f ->
+        f "traced %d spans (%d dropped by ring wraparound)" (Engine.Trace.length tracer)
+          (Engine.Trace.dropped tracer))
   in
   Cmd.v
     (Cmd.info "trace"
@@ -553,9 +539,8 @@ let trace_cmd =
           lookups) and dump the event spans as Chrome-trace JSONL (load in chrome://tracing \
           or Perfetto)")
     Term.(
-      ret
-        (const run $ verbose_arg $ variant_arg $ latency_arg $ seed_arg $ scale_arg $ size_arg
-        $ until_arg $ lookups_arg $ out_arg))
+      const run $ verbose_arg $ variant_arg $ latency_arg $ seed_arg $ scale_arg $ size_arg
+      $ until_arg $ lookups_arg $ out_arg)
 
 let () =
   let doc = "Topology-aware overlay construction using global soft-state (ICDCS 2003)" in

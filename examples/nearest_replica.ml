@@ -14,7 +14,6 @@ module Can_overlay = Can.Overlay
 module Store = Softstate.Store
 module Landmarks = Landmark.Landmarks
 module Number = Landmark.Number
-module Point = Geometry.Point
 module Stats = Prelude.Stats
 module Rng = Prelude.Rng
 
@@ -30,10 +29,7 @@ let () =
   Format.printf "network: %d nodes; %d replicas; %d clients@." n replica_count client_count;
 
   (* Overlay of every node; the coordinate map lives on the overlay. *)
-  let can = Can_overlay.create ~dims:2 0 in
-  for id = 1 to n - 1 do
-    ignore (Can_overlay.join can id (Point.random rng 2))
-  done;
+  let can = Can_overlay.random ~dims:2 rng n in
   let lms = Landmarks.choose rng oracle 12 in
   let scheme =
     Number.default_scheme ~max_latency:(Number.calibrate_max_latency oracle (Landmarks.nodes lms)) ()

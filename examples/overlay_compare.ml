@@ -1,6 +1,6 @@
 (* Generality across overlay families (paper §5): the same landmark+RTT
-   selection improves eCAN, Chord and Pastry, because all three leave
-   freedom in which member of a region/arc/prefix becomes a routing
+   selection improves eCAN, Chord, Pastry and Koorde, because all four
+   leave freedom in which member of a region/arc/prefix becomes a routing
    neighbor.
 
    Run with:  dune exec examples/overlay_compare.exe *)
@@ -35,6 +35,6 @@ let () =
   Format.fprintf ppf "eCAN (512 nodes):  random %.3f   hybrid %.3f   optimal %.3f@." random
     hybrid optimal;
 
-  (* Chord and Pastry under the same three policies (the workload module
-     drives both and prints its own table). *)
+  (* Chord, Pastry and Koorde under the same three policies (the workload
+     module drives them and prints its own table). *)
   Workload.Exp_xoverlay.run ~scale:2 ppf

@@ -255,6 +255,14 @@ let join t ?start id point =
   link owner newcomer;
   hops
 
+let random ?metrics ?labels ?trace ~dims rng n =
+  if n < 1 then invalid_arg "Can.random: need at least one member";
+  let t = create ?metrics ?labels ?trace ~dims 0 in
+  for id = 1 to n - 1 do
+    ignore (join t id (Point.random rng dims))
+  done;
+  t
+
 (* Merge leaf [child] into its sibling leaf [sibling]: the sibling absorbs
    the parent zone. *)
 let merge_siblings t sibling child =

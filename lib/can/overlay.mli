@@ -59,6 +59,19 @@ val join : t -> ?start:int -> int -> Geometry.Point.t -> int list
     Returns the logical route walked (node ids, start to old owner).
     Raises [Invalid_argument] if [id] is already a member. *)
 
+val random :
+  ?metrics:Engine.Metrics.t ->
+  ?labels:Engine.Metrics.labels ->
+  ?trace:Engine.Trace.t ->
+  dims:int ->
+  Prelude.Rng.t ->
+  int ->
+  t
+(** [random ~dims rng n] is the overlay of members [0..n-1]: {!create}
+    with member 0, then {!join} of ids [1..n-1] in order, each at a
+    {!Geometry.Point.random} point drawn from [rng].  The optional
+    arguments are {!create}'s.  Raises [Invalid_argument] if [n < 1]. *)
+
 type leave_effect = {
   survivor : int;  (** node whose zone grew by the merge *)
   backfilled : int option;

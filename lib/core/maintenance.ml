@@ -443,6 +443,7 @@ let node_crashes t node =
   Hashtbl.replace t.crash_at node (Sim.now t.sim);
   remove_member t node ~retract:false
 
+(* One audit pass; returns the number of slots repaired. *)
 let audit_tables t =
   let repaired = ref 0 in
   let ecan = t.builder.Builder.ecan in

@@ -111,9 +111,6 @@ val enable_table_audit : t -> ?period:float -> unit -> unit
     that re-converges tables when a notification was lost by a faulty
     channel.  Stopped by {!stop}. *)
 
-val audit_tables : t -> int
-(** One immediate audit pass; returns the number of slots repaired. *)
-
 val node_joins : t -> int -> unit
 (** Dynamic join through the pub/sub plane: the newcomer enters the CAN,
     publishes its soft state via the bus (so [Closer_than] /

@@ -38,6 +38,8 @@ let sample_of_route oracle ~src ~dst hops =
 let dst_point builder dst =
   Zone.center (Can_overlay.node (Ecan_exp.can builder.Builder.ecan) dst).Can_overlay.zone
 
+(* Route from [src] to a point owned by [dst] over the eCAN; [None] if
+   routing fails (does not happen on consistent overlays). *)
 let route_sample builder ~src ~dst =
   let oracle = builder.Builder.oracle in
   match Ecan_exp.route builder.Builder.ecan ~src (dst_point builder dst) with

@@ -22,10 +22,6 @@ type report = {
 val path_latency : Topology.Oracle.t -> int list -> float
 (** Physical latency accumulated along consecutive hop pairs. *)
 
-val route_sample : Builder.t -> src:int -> dst:int -> sample option
-(** Route from [src] to a point owned by [dst] over the eCAN; [None] if
-    routing fails (does not happen on consistent overlays). *)
-
 val route_stretch : ?pairs:int -> Builder.t -> report
 (** Sample [pairs] (default: twice the overlay size, as in the paper)
     random source/destination pairs among current members and measure

@@ -110,7 +110,6 @@ val create :
     Raises [Invalid_argument] on out-of-range config fields. *)
 
 val config : t -> config
-val backend_name : t -> string
 
 val request : t -> client:int -> key:int -> outcome
 (** Serve one request.  Raises [Invalid_argument] if [client] is not a
@@ -124,9 +123,6 @@ val replicas_of : t -> int -> int list
 
 val stored_keys : t -> int list
 (** Keys with at least one copy, ascending. *)
-
-val load_of : t -> int -> int
-(** Requests served by a node in the current window. *)
 
 val max_load : t -> int
 (** Highest per-node window load seen over the cache's lifetime. *)

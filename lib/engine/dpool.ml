@@ -9,15 +9,11 @@ type mailbox = {
   mu : Mutex.t;
   cond : Condition.t;
   jobs : (unit -> unit) Queue.t;
-  mutable stop : bool;
 }
 
 type t = {
   domains : int;
   boxes : mailbox array;  (* length domains - 1; slot w > 0 -> boxes.(w - 1) *)
-  handles : unit Domain.t array;
-  shut_mu : Mutex.t;
-  mutable shut : bool;
 }
 
 (* Re-entrancy guard: a task calling back into the pool would wait on a
@@ -25,22 +21,18 @@ type t = {
    nested dispatch to inline execution instead. *)
 let in_worker : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 
+(* Workers live for the process: pools are interned and never torn down. *)
 let worker_loop box =
   Domain.DLS.set in_worker true;
-  let rec loop () =
+  while true do
     Mutex.lock box.mu;
-    while Queue.is_empty box.jobs && not box.stop do
+    while Queue.is_empty box.jobs do
       Condition.wait box.cond box.mu
     done;
-    if Queue.is_empty box.jobs then Mutex.unlock box.mu (* stop and drained *)
-    else begin
-      let job = Queue.pop box.jobs in
-      Mutex.unlock box.mu;
-      job ();
-      loop ()
-    end
-  in
-  loop ()
+    let job = Queue.pop box.jobs in
+    Mutex.unlock box.mu;
+    job ()
+  done
 
 let max_domains = 128
 
@@ -49,10 +41,10 @@ let create ~domains () =
     invalid_arg "Dpool.create: domains out of [1,128]";
   let boxes =
     Array.init (domains - 1) (fun _ ->
-        { mu = Mutex.create (); cond = Condition.create (); jobs = Queue.create (); stop = false })
+        { mu = Mutex.create (); cond = Condition.create (); jobs = Queue.create () })
   in
-  let handles = Array.map (fun b -> Domain.spawn (fun () -> worker_loop b)) boxes in
-  { domains; boxes; handles; shut_mu = Mutex.create (); shut = false }
+  Array.iter (fun b -> ignore (Domain.spawn (fun () -> worker_loop b))) boxes;
+  { domains; boxes }
 
 let size t = t.domains
 
@@ -137,22 +129,6 @@ let run_on t ~slot f =
     match !error with
     | Some e -> raise e
     | None -> ( match !result with Some v -> v | None -> assert false)
-  end
-
-let shutdown t =
-  Mutex.lock t.shut_mu;
-  let was = t.shut in
-  t.shut <- true;
-  Mutex.unlock t.shut_mu;
-  if not was then begin
-    Array.iter
-      (fun box ->
-        Mutex.lock box.mu;
-        box.stop <- true;
-        Condition.broadcast box.cond;
-        Mutex.unlock box.mu)
-      t.boxes;
-    Array.iter Domain.join t.handles
   end
 
 (* ---- interned pools & the ambient default ---- *)

@@ -29,19 +29,14 @@
 
 type t
 
-val create : domains:int -> unit -> t
-(** Pool of [domains] execution slots: the coordinator plus
-    [domains - 1] spawned worker domains, each owning one mailbox.
-    [domains = 1] spawns nothing.  Raises [Invalid_argument] outside
-    [1..128] (OCaml caps live domains well below structural shard
-    counts).  Private pools should be {!shutdown} when done; prefer
-    {!get} for long-lived shared pools. *)
-
 val get : domains:int -> t
-(** The process-wide interned pool of the given size — created on first
-    request, reused afterwards, never shut down.  Use this from
-    configuration knobs (e.g. the builder's [domains] field) so repeated
-    builds do not spawn domains past the runtime's limit. *)
+(** The process-wide interned pool of [domains] execution slots: the
+    coordinator plus [domains - 1] spawned worker domains, each owning one
+    mailbox ([domains = 1] spawns nothing).  Created on first request,
+    reused afterwards, and alive for the rest of the process, so repeated
+    builds do not spawn domains past the runtime's limit.  Raises
+    [Invalid_argument] outside [1..128] (OCaml caps live domains well
+    below structural shard counts). *)
 
 val default : unit -> t
 (** The ambient pool: the {!set_default} override if one is active,
@@ -73,7 +68,3 @@ val run_on : t -> slot:int -> (unit -> 'a) -> 'a
     maintenance timer sweeps one shard: the work still runs on the
     shard's home domain.  Slot 0 (and any slot on a size-1 pool) runs
     inline. *)
-
-val shutdown : t -> unit
-(** Stop and join the pool's worker domains.  Idempotent.  Only for
-    pools made with {!create}; interned pools live for the process. *)

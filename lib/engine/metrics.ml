@@ -195,23 +195,3 @@ let to_json t =
       ("gauges", Json.List gauges);
       ("histograms", Json.List histograms);
     ]
-
-let pp_labels ppf labels =
-  if labels <> [] then begin
-    Format.fprintf ppf "{";
-    List.iteri
-      (fun i (k, v) -> Format.fprintf ppf "%s%s=%s" (if i > 0 then "," else "") k v)
-      labels;
-    Format.fprintf ppf "}"
-  end
-
-let pp ppf t =
-  List.iter
-    (fun e ->
-      match e.v with
-      | Counter_v v -> Format.fprintf ppf "%s%a %d@." e.name pp_labels e.labels v
-      | Gauge_v v -> Format.fprintf ppf "%s%a %.6g@." e.name pp_labels e.labels v
-      | Histogram_v s ->
-        Format.fprintf ppf "%s%a n=%d mean=%.3f p50=%.3f p95=%.3f p99=%.3f@." e.name pp_labels
-          e.labels s.n s.mean s.p50 s.p95 s.p99)
-    (snapshot t)

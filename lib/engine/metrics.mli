@@ -110,7 +110,3 @@ val to_json : t -> Prelude.Json.t
     "gauges": [...], "histograms": [{"name","labels","count","mean","min",
     "max","p50","p90","p95","p99"}...]}], each section sorted by
     (name, labels). *)
-
-val pp : Format.formatter -> t -> unit
-(** Human-readable one-instrument-per-line dump, same ordering as
-    {!to_json}. *)

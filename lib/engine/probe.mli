@@ -1,4 +1,4 @@
-(** Asynchronous RTT probe plane.
+(** RTT probe plane.
 
     Every RTT measurement a node spends — landmark-vector probing at join,
     per-slot candidate selection, nearest-neighbor search — goes through a
@@ -82,7 +82,6 @@ val create :
   ?labels:Metrics.labels ->
   ?trace:Trace.t ->
   ?faults:Faults.t ->
-  ?sim:Sim.t ->
   ?clock:(unit -> float) ->
   ?pool:Dpool.t ->
   ?config:config ->
@@ -92,8 +91,8 @@ val create :
     measurement-budget counter).
 
     [faults] perturbs each attempt through {!Faults.perturb} (loss and
-    extra delay).  [sim] enables {!submit}/{!submit_batch} and provides
-    the default clock; [clock] overrides it (default: frozen at 0).
+    extra delay).  [clock] supplies the virtual time a batch starts at
+    (default: frozen at 0).
 
     [pool] turns {!run_batch} into prefetch + ordered replay (see the
     module header); omitted, every measurement runs inline on the calling
@@ -113,7 +112,7 @@ val create :
 val config : t -> config
 
 val run_batch : t -> src:int -> dsts:int array -> batch
-(** Synchronously measure [src]'s RTT to every destination, modelling the
+(** Measure [src]'s RTT to every destination, modelling the
     batch's wall-clock cost under the window/timeout/retry schedule.  The
     measurements happen now (in submission order, cache hits excepted);
     the returned {!batch} carries the modelled completion time.  Cache
@@ -121,14 +120,6 @@ val run_batch : t -> src:int -> dsts:int array -> batch
 
 val rtt : t -> src:int -> dst:int -> (float, failure) result
 (** One-probe {!run_batch}. *)
-
-val submit : t -> src:int -> dst:int -> ((float, failure) result -> unit) -> unit
-(** Asynchronous probe: the callback fires on the prober's simulation at
-    the probe's modelled completion time.  Raises [Invalid_argument] if
-    the prober has no [sim]. *)
-
-val submit_batch : t -> src:int -> dsts:int array -> (batch -> unit) -> unit
-(** Asynchronous {!run_batch}: the callback fires at [batch.finished]. *)
 
 val probes : t -> int
 (** Probes submitted so far (cache hits included). *)
@@ -149,6 +140,6 @@ val invalidate : t -> int -> unit
     stale-fresh. *)
 
 val total_elapsed : t -> float
-(** Sum of modelled batch wall-clock times over every synchronous
+(** Sum of modelled batch wall-clock times over every
     {!run_batch}/{!rtt} so far.  Consumers bracket an operation with two
     reads to attribute modelled latency to it (e.g. a node join). *)

@@ -100,10 +100,6 @@ let span_json s =
               @ if s.note <> "" then [ ("note", Json.String s.note) ] else [])) );
     ]
 
-let pp_jsonl ppf t =
-  List.iter (fun s -> Format.fprintf ppf "%s@\n" (Json.to_string (span_json s))) (spans t);
-  Format.pp_print_flush ppf ()
-
 let to_jsonl t =
   let buf = Buffer.create 4096 in
   List.iter

@@ -37,11 +37,6 @@ type kind =
           loss to re-graft), [note] = [dead:<lost parent>] — the victim
           tag {!Engine.Repair.analyze} correlates against *)
 
-val kind_name : kind -> string
-(** ["route_hop"], ["rtt_probe"], ["map_publish"], ["notify"],
-    ["ttl_sweep"], ["fault_inject"], ["cache_request"],
-    ["cache_replicate"], ["mcast_deliver"], ["mcast_regraft"]. *)
-
 type span = {
   seq : int;  (** global emission index, 0-based, never reused *)
   at : float;  (** virtual time (ms) the span started *)
@@ -54,11 +49,8 @@ type span = {
 
 type t
 
-val default_capacity : int
-(** 65,536 spans. *)
-
 val create : ?capacity:int -> ?clock:(unit -> float) -> unit -> t
-(** Fresh tracer.  [capacity] (default {!default_capacity}) must be >= 1;
+(** Fresh tracer.  [capacity] (default 65,536 spans) must be >= 1;
     [clock] (default: frozen at 0) supplies [at] when {!emit} is not given
     one. *)
 
@@ -95,12 +87,8 @@ val dropped : t -> int
 
 val capacity : t -> int
 
-val span_json : span -> Prelude.Json.t
-(** One Chrome trace event (["ph": "X"], [ts]/[dur] in microseconds,
-    [tid] = node, [args] holds [seq]/[peer]/[note]). *)
-
 val to_jsonl : t -> string
-(** All retained spans as JSON Lines, one {!span_json} object per line. *)
-
-val pp_jsonl : Format.formatter -> t -> unit
-(** Print {!to_jsonl} to a formatter. *)
+(** All retained spans as JSON Lines, one Chrome trace event per line
+    (["ph": "X"], [ts]/[dur] in microseconds, [tid] = node, [args] holds
+    [seq]/[peer]/[note]; [name] is the kind in snake case, e.g.
+    ["route_hop"]). *)

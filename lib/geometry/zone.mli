@@ -53,5 +53,3 @@ val min_torus_dist : t -> Point.t -> float
     (0 when inside).  Used by greedy CAN routing. *)
 
 val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

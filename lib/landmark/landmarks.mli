@@ -13,9 +13,6 @@ val choose : Prelude.Rng.t -> Topology.Oracle.t -> int -> t
     as landmarks.  Raises [Invalid_argument] if [l] exceeds the node count
     or is < 1. *)
 
-val of_nodes : Topology.Oracle.t -> int array -> t
-(** Use an explicit set of landmark nodes. *)
-
 val count : t -> int
 val nodes : t -> int array
 val oracle : t -> Topology.Oracle.t

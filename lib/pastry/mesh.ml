@@ -11,7 +11,6 @@ type node_state = {
 type t = {
   digit_bits : int;
   num_digits : int;
-  leaf_radius : int;
   ring : node_state Id_ring.t;  (* keyed by Pastry id *)
   prefix_members : int Multimap.t;  (* (len, prefix) key -> ids *)
   obs : Engine.Route_obs.t option;
@@ -19,15 +18,13 @@ type t = {
 
 type selector = node:int -> prefix:int array -> candidates:int array -> int option
 
-let create ?metrics ?labels ?trace ?(digit_bits = 2) ?(num_digits = 15) ?(leaf_radius = 4) () =
+let create ?metrics ?labels ?trace ?(digit_bits = 2) ?(num_digits = 15) () =
   if digit_bits < 1 || digit_bits > 4 then invalid_arg "Pastry.create: digit_bits out of [1,4]";
   if num_digits < 2 then invalid_arg "Pastry.create: num_digits must be >= 2";
   if digit_bits * num_digits > 50 then invalid_arg "Pastry.create: id space too large";
-  if leaf_radius < 1 then invalid_arg "Pastry.create: leaf_radius must be >= 1";
   {
     digit_bits;
     num_digits;
-    leaf_radius;
     ring = Id_ring.create ~bits:(digit_bits * num_digits) ~key:(fun n -> n.pid);
     prefix_members = Multimap.create 64;
     obs = Engine.Route_obs.create ?metrics ?labels ?trace ~overlay:"pastry" ();
@@ -105,13 +102,16 @@ let members_with_prefix t digits =
   let value = Array.fold_left (fun acc d -> (acc lsl t.digit_bits) lor d) 0 digits in
   Array.of_list (Multimap.find t.prefix_members (prefix_key len value))
 
+(* Each member's leaf set: the [leaf_radius] ring neighbours on either side. *)
+let leaf_radius = 4
+
 let rebuild_leaves t =
   let arr = Id_ring.sorted t.ring in
   let n = Array.length arr in
   Array.iteri
     (fun i (_, id) ->
       let node = node t id in
-      let radius = min t.leaf_radius ((n - 1) / 2) in
+      let radius = min leaf_radius ((n - 1) / 2) in
       let acc = ref [] in
       for k = 1 to radius do
         acc := snd arr.((i + k) mod n) :: snd arr.(((i - k) mod n + n) mod n) :: !acc

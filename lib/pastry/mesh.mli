@@ -21,11 +21,11 @@ val create :
   ?trace:Engine.Trace.t ->
   ?digit_bits:int ->
   ?num_digits:int ->
-  ?leaf_radius:int ->
   unit ->
   t
-(** Defaults: 2-bit digits (base 4), 15 digits (30-bit ids), leaf radius 4
-    (8 leaves).  [metrics], [labels] and [trace] feed
+(** Defaults: 2-bit digits (base 4), 15 digits (30-bit ids).  Every
+    member keeps 4 ring neighbours on each side as its leaf set (8
+    leaves).  [metrics], [labels] and [trace] feed
     {!Engine.Route_obs} under [overlay=pastry]. *)
 
 val digit_bits : t -> int

@@ -24,8 +24,6 @@ let region_key t prefix =
 
 let create ~scheme mesh = { mesh; scheme; maps = Hashtbl.create 64; by_host = Multimap.create 64 }
 
-let mesh t = t.mesh
-
 let store_id_of t ~prefix vector =
   let digit_bits = Mesh.digit_bits t.mesh in
   let num_digits = Mesh.num_digits t.mesh in

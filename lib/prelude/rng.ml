@@ -63,8 +63,6 @@ let float t bound =
 
 let float_in t lo hi = lo +. float t (hi -. lo)
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
-
 let chance t p = float t 1.0 < p
 
 let shuffle t arr =
@@ -78,11 +76,6 @@ let shuffle t arr =
 let pick t arr =
   if Array.length arr = 0 then invalid_arg "Rng.pick: empty array";
   arr.(int t (Array.length arr))
-
-let pick_list t l =
-  match l with
-  | [] -> invalid_arg "Rng.pick_list: empty list"
-  | _ -> List.nth l (int t (List.length l))
 
 let sample t k arr =
   let n = Array.length arr in

@@ -35,9 +35,6 @@ val float : t -> float -> float
 val float_in : t -> float -> float -> float
 (** [float_in t lo hi] draws uniformly from [lo, hi). *)
 
-val bool : t -> bool
-(** Fair coin flip. *)
-
 val chance : t -> float -> bool
 (** [chance t p] is true with probability [p]. *)
 
@@ -47,9 +44,6 @@ val shuffle : t -> 'a array -> unit
 val pick : t -> 'a array -> 'a
 (** Uniform element of a non-empty array.  Raises [Invalid_argument] on
     an empty array. *)
-
-val pick_list : t -> 'a list -> 'a
-(** Uniform element of a non-empty list. *)
 
 val sample : t -> int -> 'a array -> 'a array
 (** [sample t k arr] draws [k] distinct elements uniformly without

@@ -52,10 +52,7 @@ let words_per_op ~runs f =
 
 let route_op () =
   let rng = Rng.create 31 in
-  let can = Can_overlay.create ~dims:2 0 in
-  for id = 1 to substrate - 1 do
-    ignore (Can_overlay.join can id (Point.random rng 2))
-  done;
+  let can = Can_overlay.random ~dims:2 rng substrate in
   let e = Ecan_exp.create ~span_bits:2 can in
   let sel = Rng.create 32 in
   Ecan_exp.build_tables e ~selector:(fun ~node:_ ~region:_ ~candidates ->
@@ -73,10 +70,7 @@ let route_op () =
 
 let sweep_op () =
   let rng = Rng.create 41 in
-  let can = Can_overlay.create ~dims:2 0 in
-  for id = 1 to substrate - 1 do
-    ignore (Can_overlay.join can id (Point.random rng 2))
-  done;
+  let can = Can_overlay.random ~dims:2 rng substrate in
   let clock = ref 0.0 in
   let store =
     Store.create ~shards:4 ~default_ttl:sweep_ttl

@@ -46,7 +46,10 @@ let mean = function
 (* Convergence oracles                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let ecan_convergence ?(tolerance = 0.02) (b : Builder.t) =
+(* At most this fraction of eCAN slots may differ from a clean rebuild. *)
+let tolerance = 0.02
+
+let ecan_convergence (b : Builder.t) =
   let ecan = b.Builder.ecan in
   let can = Ecan_exp.can ecan in
   (* Snapshot the churned tables, rebuild clean, diff, restore. *)
@@ -78,7 +81,10 @@ let ecan_convergence ?(tolerance = 0.02) (b : Builder.t) =
       (Printf.sprintf "tables diverge from clean rebuild: %d dead/out-of-region, %d unfilled, %d spurious of %d slots"
          !invalid !missing !extra !slots)
 
-let convergence ?(samples = 64) ~seed (be : Backend.t) =
+(* Seeded routes the ring oracle checks. *)
+let samples = 64
+
+let convergence ~seed (be : Backend.t) =
   let ( let* ) = Result.bind in
   let* () = be.invariants () in
   let ids = be.node_ids () in

@@ -32,21 +32,20 @@ type outcome = {
   converged : bool;
 }
 
-val ecan_convergence : ?tolerance:float -> Core.Builder.t -> (unit, string) result
+val ecan_convergence : Core.Builder.t -> (unit, string) result
 (** Convergence oracle for the eCAN: snapshot the (post-churn) expressway
     tables, rebuild them from scratch under the builder's strategy,
     compare, and restore the snapshot.  Passes when the churned tables
-    match the clean rebuild within [tolerance] (default 0.02): at most
-    that fraction of slots may hold a dead / out-of-region representative,
-    be unfilled where the rebuild fills them, or be filled where the
-    rebuild cannot. *)
+    match the clean rebuild within 2%: at most that fraction of slots may
+    hold a dead / out-of-region representative, be unfilled where the
+    rebuild fills them, or be filled where the rebuild cannot. *)
 
-val convergence : ?samples:int -> seed:int -> Backend.t -> (unit, string) result
+val convergence : seed:int -> Backend.t -> (unit, string) result
 (** Convergence oracle for Chord, Pastry and Koorde: the overlay's
     structural invariants hold, its tables are complete
     ({!Backend.t.tables_complete}: what a clean rebuild from the current
-    membership would fill is filled), and [samples] (default 64) seeded
-    random routes all terminate at the key's owner. *)
+    membership would fill is filled), and 64 seeded random routes all
+    terminate at the key's owner. *)
 
 val joiners_of : Topology.Oracle.t -> mem:(int -> bool) -> int array
 (** Physical nodes outside a membership, in id order: a storm's joiners. *)

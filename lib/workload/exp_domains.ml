@@ -60,11 +60,8 @@ let run_once ~scale ~domains =
   let labels = [ ("experiment", "domains") ] in
   let pool = Dpool.get ~domains in
   let rng = Rng.create 77 in
-  let can = Can_overlay.create ~dims:2 0 in
   let substrate = max 32 (192 / scale) in
-  for id = 1 to substrate - 1 do
-    ignore (Can_overlay.join can id (Point.random rng 2))
-  done;
+  let can = Can_overlay.random ~dims:2 rng substrate in
   let clock = ref 0.0 in
   let scheme = Number.default_scheme ~max_latency:400.0 () in
   let store =

@@ -6,14 +6,6 @@ module Rng = Prelude.Rng
 
 let lookups = 1000
 
-let build_can ?metrics ?labels ~dims ~n ~seed () =
-  let rng = Rng.create seed in
-  let t = Can_overlay.create ?metrics ?labels ~dims 0 in
-  for id = 1 to n - 1 do
-    ignore (Can_overlay.join t id (Point.random rng dims))
-  done;
-  t
-
 let run_lookups route ~dims ~seed =
   let rng = Rng.create (seed + 1) in
   for _ = 1 to lookups do
@@ -28,7 +20,7 @@ let run_lookups route ~dims ~seed =
    from the same histograms. *)
 let can_hops ~dims ~n ~seed =
   let labels = [ ("dims", string_of_int dims); ("nodes", string_of_int n) ] in
-  let t = build_can ~metrics:Metrics.global ~labels ~dims ~n ~seed () in
+  let t = Can_overlay.random ~metrics:Metrics.global ~labels ~dims (Rng.create seed) n in
   let ids = Can_overlay.node_ids t in
   let rng = Rng.create (seed + 2) in
   run_lookups (fun p -> Can_overlay.route t ~src:(Rng.pick rng ids) p) ~dims ~seed;
@@ -41,7 +33,7 @@ let ecan_hops ?(span_bits = 2) ~n ~seed () =
   let labels =
     [ ("fan", string_of_int (1 lsl span_bits)); ("nodes", string_of_int n) ]
   in
-  let t = build_can ~dims:2 ~n ~seed () in
+  let t = Can_overlay.random ~dims:2 (Rng.create seed) n in
   let e = Ecan_exp.create ~metrics:Metrics.global ~labels ~span_bits t in
   let sel_rng = Rng.create (seed + 3) in
   Ecan_exp.build_tables e ~selector:(fun ~node:_ ~region:_ ~candidates ->

@@ -2,7 +2,6 @@ module Oracle = Topology.Oracle
 module Can_overlay = Can.Overlay
 module Landmarks = Landmark.Landmarks
 module Search = Proximity.Search
-module Point = Geometry.Point
 module Rng = Prelude.Rng
 
 let landmark_count = 15
@@ -38,10 +37,7 @@ let compute ?(scale = 1) variant =
     let n = Oracle.node_count oracle in
     let rng = Rng.create 777 in
     (* The paper's §4 setting: a 2-d CAN over every node of the topology. *)
-    let can = Can_overlay.create ~dims:2 0 in
-    for id = 1 to n - 1 do
-      ignore (Can_overlay.join can id (Point.random rng 2))
-    done;
+    let can = Can_overlay.random ~dims:2 rng n in
     let lms = Landmarks.choose rng oracle landmark_count in
     let vectors = Array.init n (fun node -> Landmarks.vector lms node) in
     let all = Array.init n (fun i -> i) in

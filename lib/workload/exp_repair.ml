@@ -63,6 +63,8 @@ let fixed ~refresh ~sweep ~digest_window =
 
 let hand_picked = fixed ~refresh:20_000.0 ~sweep:5_000.0 ~digest_window:0.0
 
+(* The fixed-period sweep: refresh x sweep x digest window, twelve
+   configurations including [hand_picked]. *)
 let grid =
   List.concat_map
     (fun refresh ->

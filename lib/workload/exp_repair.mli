@@ -33,23 +33,11 @@ type result = {
   drops : int;
 }
 
-val grid : config list
-(** The fixed-period sweep: refresh {20 s, 40 s} x sweep {2.5 s, 5 s,
-    10 s} x digest {0, 50 ms}, twelve configurations including the
-    hand-picked churn-experiment constants (20 s / 5 s / no digests,
-    labelled ["r20/s5/d0"]). *)
-
 val adaptive : config
 (** The adaptive run: starts from the hand-picked constants and lets a
     bounded controller retune them from observed repair latencies
     (refresh clamped below the soft-state TTL so live entries never
     flap). *)
-
-val adaptive_p90 : config
-(** Like {!adaptive}, but the controller decides on the delivered
-    window's 90th percentile ([sample_pct = 90] — the lossy channel's
-    stray worst sample no longer whipsaws the periods) and additionally
-    tunes the bus digest window inside [10, 100] ms. *)
 
 val run_one : ?scale:int -> ?seed:int -> ?metrics:Engine.Metrics.t -> config -> result
 (** One storm under one configuration.  Deterministic: the same (scale,
@@ -58,6 +46,10 @@ val run_one : ?scale:int -> ?seed:int -> ?metrics:Engine.Metrics.t -> config -> 
     to {!Engine.Metrics.global}. *)
 
 val run : ?scale:int -> ?seed:int -> Format.formatter -> unit
-(** The whole sweep ({!grid} plus {!adaptive} and {!adaptive_p90}) into
-    one table, with the adaptive row's p99 compared against the
-    hand-picked constants'. *)
+(** The whole sweep into one table: the fixed-period grid (refresh
+    {20 s, 40 s} x sweep {2.5 s, 5 s, 10 s} x digest {0, 50 ms}, twelve
+    configurations including the hand-picked churn-experiment constants
+    20 s / 5 s / no digests, labelled ["r20/s5/d0"]), then {!adaptive} and
+    a variant of it that decides on the delivered window's 90th
+    percentile and also tunes the digest window inside [10, 100] ms.  The
+    adaptive row's p99 is compared against the hand-picked constants'. *)

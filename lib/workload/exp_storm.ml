@@ -21,7 +21,6 @@ module Store = Softstate.Store
 module Bus = Pubsub.Bus
 module Can_overlay = Can.Overlay
 module Number = Landmark.Number
-module Point = Geometry.Point
 module Rng = Prelude.Rng
 
 let substrate = 256 (* CAN members hosting the maps *)
@@ -49,10 +48,7 @@ type run_stats = {
 
 let run_one ~mode ~shards ~digest_window ~publishers ~subscribers ~bursts =
   let rng = Rng.create 21 in
-  let can = Can_overlay.create ~dims:2 0 in
-  for id = 1 to substrate - 1 do
-    ignore (Can_overlay.join can id (Point.random rng 2))
-  done;
+  let can = Can_overlay.random ~dims:2 rng substrate in
   let sim = Sim.create () in
   let metrics = Metrics.global in
   let labels = [ ("experiment", "storm"); ("mode", mode) ] in

@@ -6,7 +6,6 @@ module Search = Proximity.Search
 module Builder = Core.Builder
 module Strategy = Core.Strategy
 module Measure = Core.Measure
-module Point = Geometry.Point
 module Rng = Prelude.Rng
 
 let landmark_count = 15
@@ -27,10 +26,7 @@ let waxman_oracle ~scale =
 let nn_table oracle ppf =
   let rng = Rng.create 616 in
   let n = Oracle.node_count oracle in
-  let can = Can_overlay.create ~dims:2 0 in
-  for id = 1 to n - 1 do
-    ignore (Can_overlay.join can id (Point.random rng 2))
-  done;
+  let can = Can_overlay.random ~dims:2 rng n in
   let lms = Landmarks.choose rng oracle landmark_count in
   let vectors = Array.init n (fun node -> Landmarks.vector lms node) in
   let all = Array.init n (fun i -> i) in

@@ -11,10 +11,7 @@ let check_ok = function
 
 let build ~dims ~n ~seed =
   let rng = Rng.create seed in
-  let t = Can_overlay.create ~dims 0 in
-  for id = 1 to n - 1 do
-    ignore (Can_overlay.join t id (Point.random rng dims))
-  done;
+  let t = Can_overlay.random ~dims rng n in
   (t, rng)
 
 let test_single_node () =
@@ -23,7 +20,10 @@ let test_single_node () =
   Alcotest.(check bool) "owns everything" true
     (Zone.equal (Can_overlay.node t 7).Can_overlay.zone (Zone.full 2));
   Alcotest.(check int) "owner of any point" 7 (Can_overlay.owner_of t [| 0.9; 0.1 |]);
-  check_ok (Can_overlay.check_invariants t)
+  check_ok (Can_overlay.check_invariants t);
+  Alcotest.check_raises "random needs a member"
+    (Invalid_argument "Can.random: need at least one member") (fun () ->
+      ignore (Can_overlay.random ~dims:2 (Rng.create 1) 0))
 
 let test_first_split () =
   let t = Can_overlay.create ~dims:2 0 in

@@ -82,10 +82,7 @@ let make_can_like ~express ~seed ~n =
   let module Can_overlay = Can.Overlay in
   let module Ecan_x = Ecan.Expressway in
   let rng = Rng.create seed in
-  let t = Can_overlay.create ~dims:2 0 in
-  for id = 1 to n - 1 do
-    ignore (Can_overlay.join t id (Point.random rng 2))
-  done;
+  let t = Can_overlay.random ~dims:2 rng n in
   let route, stabilize =
     if not express then ((fun ~src p -> Can_overlay.route t ~src p), fun () -> ())
     else begin
@@ -211,11 +208,9 @@ let instrumented =
     let module Can_overlay = Can.Overlay in
     let rng = Rng.create seed in
     let can =
-      if express then Can_overlay.create ~dims:2 0 else Can_overlay.create ~metrics ~trace ~dims:2 0
+      if express then Can_overlay.random ~dims:2 rng n
+      else Can_overlay.random ~metrics ~trace ~dims:2 rng n
     in
-    for id = 1 to n - 1 do
-      ignore (Can_overlay.join can id (Point.random rng 2))
-    done;
     let route =
       if not express then Can_overlay.route can
       else begin

@@ -132,10 +132,7 @@ let region_of p = [| p land 1; (p lsr 1) land 1; (p lsr 2) land 1 |]
 let store_workload ~seed ~pool =
   let metrics = Metrics.create () in
   let rng = Rng.create seed in
-  let can = Can_overlay.create ~dims:2 0 in
-  for id = 1 to 47 do
-    ignore (Can_overlay.join can id (Point.random rng 2))
-  done;
+  let can = Can_overlay.random ~dims:2 rng 48 in
   let clock = ref 0.0 in
   let store =
     Store.create ~metrics ~pool ~shards:8 ~default_ttl:2_000.0

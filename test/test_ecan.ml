@@ -10,10 +10,7 @@ let random_selector rng ~node:_ ~region:_ ~candidates =
 
 let build ?(span_bits = 2) ~n ~seed () =
   let rng = Rng.create seed in
-  let t = Can_overlay.create ~dims:2 0 in
-  for id = 1 to n - 1 do
-    ignore (Can_overlay.join t id (Point.random rng 2))
-  done;
+  let t = Can_overlay.random ~dims:2 rng n in
   let e = Ecan.create ~span_bits t in
   let sel_rng = Rng.create (seed + 1) in
   Ecan.build_tables e ~selector:(random_selector sel_rng);
@@ -92,10 +89,7 @@ let test_route_without_tables_falls_back () =
   (* With no tables built, eCAN degenerates to greedy CAN and must still
      reach the owner. *)
   let rng = Rng.create 6 in
-  let t = Can_overlay.create ~dims:2 0 in
-  for id = 1 to 63 do
-    ignore (Can_overlay.join t id (Point.random rng 2))
-  done;
+  let t = Can_overlay.random ~dims:2 rng 64 in
   let e = Ecan.create t in
   for _ = 1 to 50 do
     let p = Point.random rng 2 in

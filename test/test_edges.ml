@@ -125,11 +125,7 @@ let test_can_max_depth_guard () =
 (* ---- ecan ---- *)
 
 let test_can_prefix_validation () =
-  let t = Can_overlay.create ~dims:2 0 in
-  let rng = Rng.create 14 in
-  for id = 1 to 7 do
-    ignore (Can_overlay.join t id (Point.random rng 2))
-  done;
+  let t = Can_overlay.random ~dims:2 (Rng.create 14) 8 in
   let raises what msg prefix =
     Alcotest.check_raises what (Invalid_argument ("Can.members_with_prefix: " ^ msg)) (fun () ->
         ignore (Can_overlay.members_with_prefix t prefix))
@@ -143,10 +139,7 @@ let test_can_prefix_validation () =
 
 let test_ecan_routes_deterministic () =
   let rng = Rng.create 6 in
-  let t = Can_overlay.create ~dims:2 0 in
-  for id = 1 to 100 do
-    ignore (Can_overlay.join t id (Point.random rng 2))
-  done;
+  let t = Can_overlay.random ~dims:2 rng 101 in
   let e = Ecan_exp.create t in
   let sel = Rng.create 7 in
   Ecan_exp.build_tables e ~selector:(fun ~node:_ ~region:_ ~candidates ->
@@ -240,10 +233,7 @@ let test_pastry_full_key_space () =
 
 let test_store_map_box_fraction () =
   let rng = Rng.create 10 in
-  let can = Can_overlay.create ~dims:2 0 in
-  for id = 1 to 15 do
-    ignore (Can_overlay.join can id (Point.random rng 2))
-  done;
+  let can = Can_overlay.random ~dims:2 rng 16 in
   let scheme = Number.default_scheme ~max_latency:100.0 () in
   let check ~condense ~base expected_fraction =
     let store = Store.create ~condense ~base_fraction:base ~scheme can in
@@ -260,10 +250,7 @@ let test_store_map_box_fraction () =
 
 let test_store_host_of_matches_owner () =
   let rng = Rng.create 11 in
-  let can = Can_overlay.create ~dims:2 0 in
-  for id = 1 to 30 do
-    ignore (Can_overlay.join can id (Point.random rng 2))
-  done;
+  let can = Can_overlay.random ~dims:2 rng 31 in
   let scheme = Number.default_scheme ~max_latency:100.0 () in
   let store = Store.create ~scheme can in
   for _ = 1 to 50 do
@@ -278,10 +265,7 @@ let test_store_host_of_matches_owner () =
 
 let test_pubsub_unsubscribe_inside_handler () =
   let rng = Rng.create 12 in
-  let can = Can_overlay.create ~dims:2 0 in
-  for id = 1 to 10 do
-    ignore (Can_overlay.join can id (Point.random rng 2))
-  done;
+  let can = Can_overlay.random ~dims:2 rng 11 in
   let sim = Sim.create () in
   let scheme = Number.default_scheme ~max_latency:100.0 () in
   let store = Store.create ~clock:(fun () -> Sim.now sim) ~scheme can in

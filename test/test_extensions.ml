@@ -311,10 +311,7 @@ let test_load_aware_strategy () =
 
 let can_fixture ~seed ~n =
   let rng = Rng.create seed in
-  let can = Can_overlay.create ~dims:2 0 in
-  for id = 1 to n - 1 do
-    ignore (Can_overlay.join can id (Point.random rng 2))
-  done;
+  let can = Can_overlay.random ~dims:2 rng n in
   (can, rng)
 
 let test_route_proximity_reaches_owner () =
@@ -387,10 +384,7 @@ let test_hill_climb_stops_at_local_minimum () =
 
 let test_hosting_stats () =
   let rng = Rng.create 10 in
-  let can = Can_overlay.create ~dims:2 0 in
-  for id = 1 to 29 do
-    ignore (Can_overlay.join can id (Point.random rng 2))
-  done;
+  let can = Can_overlay.random ~dims:2 rng 30 in
   let scheme = Number.default_scheme ~max_latency:100.0 () in
   let store = Store.create ~scheme can in
   Alcotest.(check int) "empty store: no hosting nodes" 0

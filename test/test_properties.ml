@@ -180,10 +180,7 @@ let qcheck_can_owner_total =
     QCheck.(pair (int_range 0 10_000) (int_range 1 50))
     (fun (seed, n) ->
       let rng = Rng.create seed in
-      let t = Can_overlay.create ~dims:2 0 in
-      for id = 1 to n - 1 do
-        ignore (Can_overlay.join t id (Point.random rng 2))
-      done;
+      let t = Can_overlay.random ~dims:2 rng n in
       let ok = ref true in
       for _ = 1 to 30 do
         let p = Point.random rng 2 in
@@ -203,10 +200,7 @@ let qcheck_can_prefix_membership_bruteforce =
     QCheck.(triple (int_range 0 10_000) (int_range 2 60) (int_range 0 6))
     (fun (seed, n, plen) ->
       let rng = Rng.create seed in
-      let t = Can_overlay.create ~dims:2 0 in
-      for id = 1 to n - 1 do
-        ignore (Can_overlay.join t id (Point.random rng 2))
-      done;
+      let t = Can_overlay.random ~dims:2 rng n in
       let prefix = Array.init plen (fun _ -> Rng.int rng 2) in
       let fast = List.sort compare (Array.to_list (Can_overlay.members_with_prefix t prefix)) in
       let brute =
@@ -324,10 +318,7 @@ let qcheck_store_lookup_subset =
     (fun (seed, n) ->
       let module Store = Softstate.Store in
       let rng = Rng.create seed in
-      let can = Can_overlay.create ~dims:2 0 in
-      for id = 1 to n - 1 do
-        ignore (Can_overlay.join can id (Point.random rng 2))
-      done;
+      let can = Can_overlay.random ~dims:2 rng n in
       let scheme = Landmark.Number.default_scheme ~max_latency:100.0 () in
       let store = Store.create ~scheme can in
       for node = 0 to n - 1 do

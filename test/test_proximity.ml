@@ -5,7 +5,6 @@ module Oracle = Topology.Oracle
 module Ts = Topology.Transit_stub
 module Can_overlay = Can.Overlay
 module Landmarks = Landmark.Landmarks
-module Point = Geometry.Point
 module Rng = Prelude.Rng
 
 let topo_params =
@@ -26,10 +25,7 @@ let setup ~seed =
   let topo = Ts.generate rng topo_params in
   let oracle = Oracle.build topo in
   let n = Oracle.node_count oracle in
-  let can = Can_overlay.create ~dims:2 0 in
-  for id = 1 to n - 1 do
-    ignore (Can_overlay.join can id (Point.random rng 2))
-  done;
+  let can = Can_overlay.random ~dims:2 rng n in
   let lms = Landmarks.choose rng oracle 6 in
   let vectors = Array.init n (fun node -> Landmarks.vector lms node) in
   (oracle, can, vectors, Rng.create (seed + 1))

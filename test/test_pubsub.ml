@@ -4,7 +4,6 @@ module Bus = Pubsub.Bus
 module Store = Softstate.Store
 module Can_overlay = Can.Overlay
 module Number = Landmark.Number
-module Point = Geometry.Point
 module Sim = Engine.Sim
 module Rng = Prelude.Rng
 
@@ -12,10 +11,7 @@ let scheme = Number.default_scheme ~max_latency:100.0 ()
 
 let setup ?(n = 30) ~seed () =
   let rng = Rng.create seed in
-  let can = Can_overlay.create ~dims:2 0 in
-  for id = 1 to n - 1 do
-    ignore (Can_overlay.join can id (Point.random rng 2))
-  done;
+  let can = Can_overlay.random ~dims:2 rng n in
   let sim = Sim.create () in
   let store = Store.create ~clock:(fun () -> Sim.now sim) ~scheme can in
   let bus = Bus.create ~sim store in
@@ -130,10 +126,7 @@ let test_unsubscribe () =
 
 let test_delivery_latency () =
   let rng = Rng.create 7 in
-  let can = Can_overlay.create ~dims:2 0 in
-  for id = 1 to 19 do
-    ignore (Can_overlay.join can id (Point.random rng 2))
-  done;
+  let can = Can_overlay.random ~dims:2 rng 20 in
   let sim = Sim.create () in
   let store = Store.create ~clock:(fun () -> Sim.now sim) ~scheme can in
   let bus = Bus.create ~sim ~latency:(fun ~host:_ ~subscriber:_ -> 25.0) store in
@@ -204,10 +197,7 @@ let test_duplicate_subscription () =
    the perturbed time. *)
 let test_ordering_under_injected_delay () =
   let rng = Rng.create 11 in
-  let can = Can_overlay.create ~dims:2 0 in
-  for id = 1 to 19 do
-    ignore (Can_overlay.join can id (Point.random rng 2))
-  done;
+  let can = Can_overlay.random ~dims:2 rng 20 in
   let sim = Sim.create () in
   let store = Store.create ~clock:(fun () -> Sim.now sim) ~scheme can in
   (* First message gets +30 ms, second +0: the second overtakes. *)
@@ -275,10 +265,7 @@ let event_str = function
 
 let test_digest_batches_per_subscriber () =
   let rng = Rng.create 13 in
-  let can = Can_overlay.create ~dims:2 0 in
-  for id = 1 to 29 do
-    ignore (Can_overlay.join can id (Point.random rng 2))
-  done;
+  let can = Can_overlay.random ~dims:2 rng 30 in
   let sim = Sim.create () in
   let store = Store.create ~clock:(fun () -> Sim.now sim) ~scheme can in
   let bus = Bus.create ~sim ~digest_window:50.0 store in
@@ -339,10 +326,7 @@ let test_digest_unsubscribe_before_flush () =
    window.  Returns the delivery log and the bus accounting. *)
 let run_script ?digest_window ~seed () =
   let rng = Rng.create seed in
-  let can = Can_overlay.create ~dims:2 0 in
-  for id = 1 to 29 do
-    ignore (Can_overlay.join can id (Point.random rng 2))
-  done;
+  let can = Can_overlay.random ~dims:2 rng 30 in
   let sim = Sim.create () in
   let store = Store.create ~clock:(fun () -> Sim.now sim) ~scheme can in
   let k = ref 0 in

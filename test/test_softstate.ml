@@ -14,10 +14,7 @@ let check_ok = function Ok () -> () | Error e -> Alcotest.fail e
 (* A small CAN plus a clock we can advance by hand. *)
 let setup ?(condense = 1.0) ?(ttl = 100.0) ?(n = 40) ?(shards = 1) ~seed () =
   let rng = Rng.create seed in
-  let can = Can_overlay.create ~dims:2 0 in
-  for id = 1 to n - 1 do
-    ignore (Can_overlay.join can id (Point.random rng 2))
-  done;
+  let can = Can_overlay.random ~dims:2 rng n in
   let now = ref 0.0 in
   let store =
     Store.create ~shards ~condense ~default_ttl:ttl ~clock:(fun () -> !now) ~scheme can
